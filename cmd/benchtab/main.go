@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	benchtab -exp table1|fig1|fig2|fig3|alg1|ablation|flatvshier|serveingest|serveingest-binary|cubequery|pushfanout|clusteringest|all [-seed N] [-workers N] [-json FILE]
+//	benchtab -exp table1|fig1|fig2|fig3|alg1|ablation|flatvshier|all [-seed N] [-workers N] [-json FILE]
 //
 // With -json the per-experiment wall-clock timings are additionally
 // written to FILE (conventionally BENCH_<tag>.json) so successive
@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: table1, fig1, fig2, fig3, alg1, ablation, flatvshier, serveingest, serveingest-binary, cubequery, pushfanout, clusteringest, all")
+	exp := flag.String("exp", "all", "experiment to run: table1, fig1, fig2, fig3, alg1, ablation, flatvshier, all")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	workers := flag.Int("workers", 0, "experiment fan-out width (0 = GOMAXPROCS, 1 = sequential)")
 	jsonPath := flag.String("json", "", "write per-experiment timings to this file (e.g. BENCH_baseline.json)")
@@ -70,16 +70,6 @@ func run(exp string, seed int64, jsonPath string) error {
 			func(s int64) (fmt.Stringer, error) { return experiments.RunFlatVsHier(s) }},
 		{"ablation", "Ablations — support normalisation, down pass, detector choice",
 			func(s int64) (fmt.Stringer, error) { return experiments.RunAblation(s) }},
-		{"serveingest", "Serving layer — durable (WAL-on) HTTP ingest throughput",
-			runServeIngest},
-		{"serveingest-binary", "Serving layer — durable HTTP ingest throughput, binary columnar frames",
-			runServeIngestBinary},
-		{"cubequery", "Serving layer — OLAP cube ingest-then-slice query throughput",
-			runCubeQuery},
-		{"pushfanout", "Serving layer — live alert push fan-out to concurrent subscribers",
-			runPushFanout},
-		{"clusteringest", "Cluster mode — router-proxied vs direct durable ingest",
-			runClusterIngest},
 	}
 	baseline := benchBaseline{
 		GeneratedUnix: time.Now().Unix(),

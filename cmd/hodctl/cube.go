@@ -35,6 +35,11 @@ func cmdCube(args []string) error {
 			if !ok || d == "" || m == "" {
 				return usagef("cube: bad -where constraint %q (want dim=member)", c)
 			}
+			// The wire grammar refuses a repeated dimension; keeping the
+			// last one here would answer a question the user did not ask.
+			if _, dup := q.Where[d]; dup {
+				return usagef("cube: duplicate -where constraint for dimension %q", d)
+			}
 			q.Where[d] = m
 		}
 	}

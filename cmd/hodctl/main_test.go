@@ -137,6 +137,8 @@ func TestUsageExitCodes(t *testing.T) {
 		{"restore_missing_in", []string{"restore"}},
 		{"replay_missing_sensors", []string{"replay"}},
 		{"soak_bad_runs", []string{"soak", "-runs", "0"}},
+		{"cube_bad_where", []string{"cube", "-where", "line"}},
+		{"cube_repeated_where_dim", []string{"cube", "-where", "line=a,line=b"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -84,17 +84,16 @@ func ScoreCube(c *olap.Cube) ([]CellScore, error) {
 	var out []CellScore
 	var buf medianBuf
 	for _, dims := range c.Subspaces() {
-		rolled, err := c.RollUp(dims...)
+		cells, err := c.RollUp(dims...)
 		if err != nil {
 			return nil, err
 		}
-		cells := rolled.Cells()
 		if len(cells) < 3 {
 			continue
 		}
 		means := buf.means(len(cells))
 		for i, cell := range cells {
-			means[i] = cell.Mean()
+			means[i] = cell.Mean
 		}
 		med, mad := stats.MedianMAD(means, buf.scratch)
 		if stats.DegenerateMAD(mad) {
@@ -229,7 +228,7 @@ func (d *Detector) ScoreSeries(batch [][]float64) ([]float64, error) {
 		}
 		means := buf.means(len(cells))
 		for i, c := range cells {
-			means[i] = c.Mean()
+			means[i] = c.Mean
 		}
 		med, mad := stats.MedianMAD(means, buf.scratch)
 		if stats.DegenerateMAD(mad) {

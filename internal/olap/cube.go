@@ -3,14 +3,20 @@
 // (OLAP) cube can be analyzed … with each cell as a measure", paper §3).
 // It supports dimensions with discrete members, measure aggregation,
 // roll-up, slicing and subspace (group-by) iteration.
+//
+// There is one cell store (IntCube, int-coordinate cells) and one
+// evaluator (View, in answer.go). Cube is the string-facing way in: a
+// dictionary per dimension over one IntCube.
 package olap
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
+
+	"repro/internal/intern"
+	"repro/pkg/hod/wire"
 )
 
 // ErrSchema is returned for schema violations (unknown dimensions,
@@ -24,301 +30,152 @@ var ErrSchema = errors.New("olap: schema violation")
 // applies to sample values.
 var ErrNonFinite = errors.New("olap: non-finite measure")
 
-// Preallocated Observe rejections: the per-sample fold path must not
-// allocate even when refusing input, so the coordinate context that
-// AddFact puts in its errors is deliberately absent here — Observe
-// callers already hold the cell and can attach it themselves.
-var (
-	errObserveNonFinite = fmt.Errorf("%w: non-finite observation", ErrNonFinite)
-	errSumOverflow      = fmt.Errorf("%w: sum overflow", ErrNonFinite)
-)
+// keySep is refused inside coordinate members: the serving layer vets
+// every identifier against control characters, and a cube built from
+// strings must not hold a coordinate the served cube never could.
+const keySep = '\x1f'
 
-// Cube is a dense-logical, sparse-physical OLAP cube: cells exist only
-// once a fact lands in them.
+// Cube builds a cube from string coordinates: it interns each member
+// into a per-dimension dictionary and folds into one IntCube, so the
+// gates on a fact and the answers to a query are IntCube's and View's.
 type Cube struct {
 	dims  []string
-	index map[string]int
-	cells map[string]*Cell
+	dict  []*intern.DynTable
+	cells *IntCube
 }
 
-// Cell aggregates the facts sharing one coordinate.
-type Cell struct {
-	Coord []string
-	Count int
-	Sum   float64
-	Min   float64
-	Max   float64
-}
-
-// Mean returns the cell's mean measure.
-func (c *Cell) Mean() float64 {
-	if c.Count == 0 {
-		return 0
-	}
-	return c.Sum / float64(c.Count)
-}
-
-// Observe folds one measure into the cell in place — the fast path
-// for callers streaming runs of samples into one cell (they look the
-// cell up once and skip the per-fact coordinate key join). The same
-// ErrNonFinite gate as AddFact applies.
-//
-//hod:hotpath
-func (c *Cell) Observe(value float64) error {
-	if math.IsNaN(value) || math.IsInf(value, 0) {
-		return errObserveNonFinite
-	}
-	sum := c.Sum + value
-	if math.IsInf(sum, 0) {
-		// Finite inputs can still overflow the accumulated sum; folding
-		// it would poison the cell forever, so refuse the observation
-		// and keep the every-cell-holds-finite-aggregates invariant.
-		return errSumOverflow
-	}
-	if c.Count == 0 {
-		c.Min, c.Max = value, value
-	} else {
-		if value < c.Min {
-			c.Min = value
-		}
-		if value > c.Max {
-			c.Max = value
-		}
-	}
-	c.Count++
-	c.Sum = sum
-	return nil
-}
-
-// New creates a cube with the given dimension names.
+// New creates a cube with the given dimension names — at most as many
+// as an IntCoord holds.
 func New(dims ...string) (*Cube, error) {
 	if len(dims) == 0 {
 		return nil, fmt.Errorf("%w: cube needs at least one dimension", ErrSchema)
 	}
-	idx := make(map[string]int, len(dims))
-	for i, d := range dims {
-		if _, dup := idx[d]; dup {
-			return nil, fmt.Errorf("%w: duplicate dimension %q", ErrSchema, d)
-		}
-		idx[d] = i
+	if len(dims) > len(IntCoord{}) {
+		return nil, fmt.Errorf("%w: %d dimensions, at most %d", ErrSchema, len(dims), len(IntCoord{}))
 	}
-	return &Cube{dims: append([]string(nil), dims...), index: idx, cells: make(map[string]*Cell)}, nil
+	c := &Cube{dims: append([]string(nil), dims...), cells: NewIntCube()}
+	for i, d := range dims {
+		for _, prev := range dims[:i] {
+			if prev == d {
+				return nil, fmt.Errorf("%w: duplicate dimension %q", ErrSchema, d)
+			}
+		}
+		c.dict = append(c.dict, intern.NewDyn(nil))
+	}
+	return c, nil
 }
 
 // Dims returns the dimension names in order.
 func (c *Cube) Dims() []string { return append([]string(nil), c.dims...) }
 
-// keySep joins coordinate members inside cell keys; AddAggregate
-// rejects members containing it, or two distinct coordinates could
-// collide on one joined key and silently merge their cells.
-const keySep = '\x1f'
+// view is the cube as the evaluator sees it.
+func (c *Cube) view() View {
+	dict := make([]Dim, len(c.dict))
+	for d, t := range c.dict {
+		dict[d] = t
+	}
+	return View{Dims: c.dims, Dict: dict, Scan: c.cells.Scan}
+}
 
-// key joins a coordinate; members must not contain the separator.
-func key(coord []string) string { return strings.Join(coord, string(keySep)) }
+// intern vets a string coordinate and resolves it to ids, growing the
+// dictionaries on first sight of a member.
+func (c *Cube) intern(coord []string) (IntCoord, error) {
+	var ids IntCoord
+	if len(coord) != len(c.dict) {
+		return ids, fmt.Errorf("%w: coordinate arity %d, want %d", ErrSchema, len(coord), len(c.dict))
+	}
+	for d, m := range coord {
+		if strings.ContainsRune(m, keySep) {
+			return ids, fmt.Errorf("%w: member %q contains the reserved key separator", ErrSchema, m)
+		}
+		ids[d] = c.dict[d].Intern(m)
+	}
+	return ids, nil
+}
+
+// at names the coordinate an IntCube refusal happened at.
+func at(err error, coord []string) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("%w at %v", err, coord)
+}
 
 // AddFact folds one measure value into the cell at coord. Non-finite
 // measures are rejected with ErrNonFinite.
 func (c *Cube) AddFact(coord []string, value float64) error {
-	if math.IsNaN(value) || math.IsInf(value, 0) {
-		return fmt.Errorf("%w: %v at %v", ErrNonFinite, value, coord)
+	ids, err := c.intern(coord)
+	if err != nil {
+		return err
 	}
-	return c.AddAggregate(coord, 1, value, value, value)
+	return at(c.cells.AddFact(ids, value), coord)
 }
 
-// AddAggregate merges one pre-aggregated cell into the cube — the
-// primitive behind AddFact, cube merging, and snapshot restore. The
+// AddAggregate merges one pre-aggregated cell into the cube. The
 // aggregate must be finite and hold at least one observation.
 func (c *Cube) AddAggregate(coord []string, count int, sum, min, max float64) error {
-	if len(coord) != len(c.dims) {
-		return fmt.Errorf("%w: coordinate arity %d, want %d", ErrSchema, len(coord), len(c.dims))
+	ids, err := c.intern(coord)
+	if err != nil {
+		return err
 	}
-	for _, m := range coord {
-		if strings.ContainsRune(m, keySep) {
-			return fmt.Errorf("%w: member %q contains the reserved key separator", ErrSchema, m)
-		}
-	}
-	if count <= 0 {
-		return fmt.Errorf("%w: aggregate count %d at %v", ErrSchema, count, coord)
-	}
-	for _, v := range []float64{sum, min, max} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: %v at %v", ErrNonFinite, v, coord)
-		}
-	}
-	k := key(coord)
-	cell, ok := c.cells[k]
-	if !ok {
-		cell = &Cell{Coord: append([]string(nil), coord...), Min: min, Max: max}
-		c.cells[k] = cell
-	}
-	// A fresh cell cannot overflow (its sum is the vetted input); an
-	// existing one can — refuse the merge rather than poison the cell.
-	merged := cell.Sum + sum
-	if math.IsInf(merged, 0) {
-		return fmt.Errorf("%w: sum overflow at %v", ErrNonFinite, coord)
-	}
-	cell.Count += count
-	cell.Sum = merged
-	if min < cell.Min {
-		cell.Min = min
-	}
-	if max > cell.Max {
-		cell.Max = max
-	}
-	return nil
+	return at(c.cells.AddAggregate(ids, count, sum, min, max), coord)
 }
 
 // CellAt returns the cell at the exact coordinate, or nil.
-func (c *Cube) CellAt(coord []string) *Cell {
-	if len(coord) != len(c.dims) {
+func (c *Cube) CellAt(coord []string) *IntCell {
+	if len(coord) != len(c.dict) {
 		return nil
 	}
-	return c.cells[key(coord)]
-}
-
-// coordLess orders equal-arity coordinates element-wise — the same
-// total order as comparing the joined cell keys (the separator sorts
-// below every allowed member character), without re-joining strings
-// inside a sort comparator.
-func coordLess(a, b []string) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+	var ids IntCoord
+	for d, m := range coord {
+		id, ok := c.dict[d].ID(m)
+		if !ok {
+			return nil
 		}
+		ids[d] = id
 	}
-	return false
+	return c.cells.CellAt(ids)
 }
 
 // Cells returns all cells in deterministic coordinate order.
-func (c *Cube) Cells() []*Cell {
-	out := make([]*Cell, 0, len(c.cells))
-	for _, cell := range c.cells {
-		out = append(out, cell)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return coordLess(out[i].Coord, out[j].Coord)
-	})
-	return out
+func (c *Cube) Cells() []wire.CubeCell {
+	cells, _, _ := c.view().slice(nil) // no constraint, so no unknown dimension
+	return cells
 }
 
 // Len returns the number of materialised cells.
-func (c *Cube) Len() int { return len(c.cells) }
-
-// matcher compiles a dimension=member constraint set into (index,
-// member) pairs, rejecting unknown dimensions.
-func (c *Cube) matcher(constraints map[string]string) ([][2]int, []string, error) {
-	if len(constraints) == 0 {
-		return nil, nil, nil
-	}
-	dims := make([]string, 0, len(constraints))
-	for d := range constraints {
-		if _, ok := c.index[d]; !ok {
-			return nil, nil, fmt.Errorf("%w: unknown dimension %q", ErrSchema, d)
-		}
-		dims = append(dims, d)
-	}
-	sort.Strings(dims)
-	pairs := make([][2]int, 0, len(dims))
-	members := make([]string, 0, len(dims))
-	for i, d := range dims {
-		pairs = append(pairs, [2]int{c.index[d], i})
-		members = append(members, constraints[d])
-	}
-	return pairs, members, nil
-}
-
-func matches(cell *Cell, pairs [][2]int, members []string) bool {
-	for _, p := range pairs {
-		if cell.Coord[p[0]] != members[p[1]] {
-			return false
-		}
-	}
-	return true
-}
+func (c *Cube) Len() int { return c.cells.Len() }
 
 // Slice returns the cells whose coordinate matches all the given
 // dimension=member constraints, in deterministic coordinate order.
-// Only the matching cells are collected and sorted, so the per-query
-// cost scales with the answer, not with the whole cube.
-func (c *Cube) Slice(constraints map[string]string) ([]*Cell, error) {
-	pairs, members, err := c.matcher(constraints)
-	if err != nil {
-		return nil, err
-	}
-	var out []*Cell
-	for _, cell := range c.cells {
-		if matches(cell, pairs, members) {
-			out = append(out, cell)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return coordLess(out[i].Coord, out[j].Coord)
-	})
-	return out, nil
+func (c *Cube) Slice(where map[string]string) ([]wire.CubeCell, error) {
+	cells, _, err := c.view().slice(where)
+	return cells, err
 }
 
 // RollUp aggregates the cube onto the given subset of dimensions,
-// returning a new cube whose cells merge all members of the dropped
-// dimensions.
-func (c *Cube) RollUp(keep ...string) (*Cube, error) {
+// merging all members of the dropped ones.
+func (c *Cube) RollUp(keep ...string) ([]wire.CubeCell, error) {
 	return c.GroupBy(nil, keep)
 }
 
 // GroupBy filters the cube by the dimension=member constraints and
-// aggregates the matching cells onto the keep dimensions — the shared
-// engine behind roll-up (no constraints) and drill-down (constraints
-// plus one expanded dimension). Matching cells are folded in sorted
-// coordinate order: a float sum is not associative, so map iteration
-// order would otherwise leak last-ulp jitter into equal queries.
-func (c *Cube) GroupBy(constraints map[string]string, keep []string) (*Cube, error) {
-	if len(keep) == 0 {
-		return nil, fmt.Errorf("%w: group-by must keep at least one dimension", ErrSchema)
-	}
-	keepIdx := make([]int, len(keep))
-	for i, d := range keep {
-		idx, ok := c.index[d]
-		if !ok {
-			return nil, fmt.Errorf("%w: unknown dimension %q", ErrSchema, d)
-		}
-		keepIdx[i] = idx
-	}
-	matched, err := c.Slice(constraints)
-	if err != nil {
-		return nil, err
-	}
-	out, err := New(keep...)
-	if err != nil {
-		return nil, err
-	}
-	for _, cell := range matched {
-		coord := make([]string, len(keepIdx))
-		for i, idx := range keepIdx {
-			coord[i] = cell.Coord[idx]
-		}
-		if err := out.AddAggregate(coord, cell.Count, cell.Sum, cell.Min, cell.Max); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+// aggregates the matching cells onto the keep dimensions — slice and
+// roll-up in one pass. Coordinates of the returned cells run along
+// keep.
+func (c *Cube) GroupBy(where map[string]string, keep []string) ([]wire.CubeCell, error) {
+	cells, _, err := c.view().groupBy(where, keep)
+	return cells, err
 }
 
 // Members returns the distinct members of a dimension in sorted order.
 func (c *Cube) Members(dim string) ([]string, error) {
-	idx, ok := c.index[dim]
-	if !ok {
-		return nil, fmt.Errorf("%w: unknown dimension %q", ErrSchema, dim)
-	}
-	set := map[string]bool{}
-	for _, cell := range c.cells {
-		set[cell.Coord[idx]] = true
-	}
-	out := make([]string, 0, len(set))
-	for m := range set {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out, nil
+	members, _, err := c.view().members(dim)
+	return members, err
 }
+
+// Answer evaluates one query against the cube.
+func (c *Cube) Answer(q Query) (Result, error) { return c.view().Answer(q) }
 
 // Subspaces enumerates every non-empty subset of dimensions (the cuboid
 // lattice) ordered by ascending dimensionality — the search space of

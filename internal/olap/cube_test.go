@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/pkg/hod/wire"
 )
 
 func mustCube(t *testing.T, dims ...string) *Cube {
@@ -16,12 +18,33 @@ func mustCube(t *testing.T, dims ...string) *Cube {
 	return c
 }
 
+// cellAt finds the answer cell at coord, or nil.
+func cellAt(cells []wire.CubeCell, coord ...string) *wire.CubeCell {
+next:
+	for i := range cells {
+		for d, m := range coord {
+			if cells[i].Coord[d] != m {
+				continue next
+			}
+		}
+		return &cells[i]
+	}
+	return nil
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(); !errors.Is(err, ErrSchema) {
 		t.Fatal("want ErrSchema for no dims")
 	}
 	if _, err := New("a", "a"); !errors.Is(err, ErrSchema) {
 		t.Fatal("want ErrSchema for duplicate dims")
+	}
+	// An IntCoord holds five ids: that is every cube's dimension limit.
+	if _, err := New("a", "b", "c", "d", "e"); err != nil {
+		t.Fatalf("five dims: %v", err)
+	}
+	if _, err := New("a", "b", "c", "d", "e", "f"); !errors.Is(err, ErrSchema) {
+		t.Fatalf("six dims: err = %v, want ErrSchema", err)
 	}
 	c := mustCube(t, "machine", "sensor")
 	dims := c.Dims()
@@ -56,7 +79,7 @@ func TestAddFactAndCellAt(t *testing.T) {
 	if c.CellAt([]string{"m1"}) != nil {
 		t.Fatal("wrong arity should be nil")
 	}
-	if (&Cell{}).Mean() != 0 {
+	if (&IntCell{}).Mean() != 0 {
 		t.Fatal("empty cell mean should be 0")
 	}
 }
@@ -90,6 +113,21 @@ func TestSlice(t *testing.T) {
 	if _, err := c.Slice(map[string]string{"nope": "x"}); !errors.Is(err, ErrSchema) {
 		t.Fatal("want ErrSchema")
 	}
+	// A member no fact ever named, and known members no cell combines,
+	// are both an empty answer — not an error — that still echoes the
+	// constraint and counts the whole cube.
+	for name, where := range map[string]map[string]string{
+		"unknown member":   {"m": "m9"},
+		"pinned but empty": {"m": "m2", "s": "vib"},
+	} {
+		res, err := c.Answer(Query{Where: where})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Cells != nil || len(res.Where) != len(where) || res.TotalCells != 3 {
+			t.Fatalf("%s: result %+v", name, res)
+		}
+	}
 }
 
 func TestRollUp(t *testing.T) {
@@ -101,11 +139,11 @@ func TestRollUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1 := rolled.CellAt([]string{"m1"})
+	m1 := cellAt(rolled, "m1")
 	if m1 == nil || m1.Count != 2 || m1.Sum != 4 || m1.Min != 1 || m1.Max != 3 {
 		t.Fatalf("m1=%+v", m1)
 	}
-	m2 := rolled.CellAt([]string{"m2"})
+	m2 := cellAt(rolled, "m2")
 	if m2 == nil || m2.Count != 1 || m2.Sum != 10 {
 		t.Fatalf("m2=%+v", m2)
 	}
@@ -215,10 +253,10 @@ func TestGroupByAndDrilldownAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Len() != 2 {
-		t.Fatalf("grouped cells = %d", g.Len())
+	if len(g) != 2 {
+		t.Fatalf("grouped cells = %d", len(g))
 	}
-	m1 := g.CellAt([]string{"m1"})
+	m1 := cellAt(g, "m1")
 	if m1 == nil || m1.Count != 2 || m1.Sum != 3 {
 		t.Fatalf("m1=%+v", m1)
 	}
@@ -323,7 +361,7 @@ func TestPropertySliceRollUpConservation(t *testing.T) {
 				return false
 			}
 			gotCount, gotSum = 0, 0
-			for _, cell := range rolled.Cells() {
+			for _, cell := range rolled {
 				gotCount += cell.Count
 				gotSum += cell.Sum
 			}
@@ -337,7 +375,7 @@ func TestPropertySliceRollUpConservation(t *testing.T) {
 			return false
 		}
 		gotCount, gotSum = 0, 0
-		for _, cell := range grouped.Cells() {
+		for _, cell := range grouped {
 			gotCount += cell.Count
 			gotSum += cell.Sum
 		}
@@ -378,7 +416,7 @@ func TestPropertyRollUpConservation(t *testing.T) {
 		}
 		var gotCount int
 		var gotSum float64
-		for _, cell := range rolled.Cells() {
+		for _, cell := range rolled {
 			gotCount += cell.Count
 			gotSum += cell.Sum
 		}

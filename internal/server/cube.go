@@ -1,7 +1,6 @@
 package server
 
 import (
-	"log"
 	"net/http"
 
 	"repro/internal/olap"
@@ -21,53 +20,27 @@ import (
 // the wire package owns the list, shared with the SDK's batch builder.
 var cubeDims = wire.CubeDims()
 
-// newServeCube builds an empty cube with the serving dimensions. The
-// dims are a package constant, so New cannot fail.
-func newServeCube() *olap.Cube {
-	c, err := olap.New(cubeDims...)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// mergedCube assembles one queryable cube from the shard-local slices,
-// translating interned coordinates back to strings — the query
-// boundary where ids stop. Machines hash onto exactly one shard, so
-// shard cubes never hold the same coordinate, and each translated cell
-// is added exactly once; merge order cannot matter. Shard cells always
-// hold finite aggregates (Observe/AddAggregate refuse sum overflow), so
-// AddAggregate failing here should be impossible — but a query handler
-// must not be able to panic the plant, so a failing cell is logged and
-// skipped instead.
-func (ps *plantState) mergedCube() *olap.Cube {
-	out := newServeCube()
-	for _, sh := range ps.shards {
-		sh.rollMu.Lock()
-		sh.cube.Each(func(cell *olap.IntCell) {
-			coord := ps.cubeCoordOf(cell.Coord)
-			if err := out.AddAggregate(coord, cell.Count, cell.Sum, cell.Min, cell.Max); err != nil {
-				log.Printf("server: plant %s: cube query skipping cell %v: %v", ps.topo.ID, coord, err)
+// cubeView is the plant's cube as the evaluator sees it: the shard
+// cubes behind their rollMu, with the plant's intern tables as the
+// dictionary. Machines hash onto exactly one shard, so shard cubes
+// never hold the same coordinate. Only the cells a question matches are
+// copied out under a shard's lock; ordering, grouping and translating
+// ids back to names happen outside it, on the copies.
+func (ps *plantState) cubeView() olap.View {
+	in := ps.in
+	return olap.View{
+		Dims: cubeDims,
+		Dict: []olap.Dim{in.lines, in.machines, in.jobs, in.phases, in.sensors},
+		Scan: func(visit func(*olap.IntCell)) int {
+			total := 0
+			for _, sh := range ps.shards {
+				sh.rollMu.Lock()
+				total += sh.cube.Scan(visit)
+				sh.rollMu.Unlock()
 			}
-		})
-		sh.rollMu.Unlock()
+			return total
+		},
 	}
-	return out
-}
-
-// queryCube returns the merged cube at the current data revision,
-// re-merging the shard cubes only when ingest has advanced it. The
-// cached cube is immutable once built (queries only read it), so it is
-// shared across concurrent handlers.
-func (ps *plantState) queryCube() *olap.Cube {
-	rev := ps.dataRev.Load()
-	ps.cubeMu.Lock()
-	defer ps.cubeMu.Unlock()
-	if ps.cubeCache == nil || ps.cubeCacheRev != rev {
-		ps.cubeCache = ps.mergedCube()
-		ps.cubeCacheRev = rev
-	}
-	return ps.cubeCache
 }
 
 // handleCube answers one OLAP query over the plant's cube:
@@ -88,8 +61,7 @@ func (s *Server) handleCube(w http.ResponseWriter, r *http.Request, ps *plantSta
 		writeErr(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
 		return
 	}
-	query := olap.Query{Op: p.Op, Dim: p.Dim, Keep: p.Keep, Where: p.Where}
-	res, err := ps.queryCube().Answer(query)
+	res, err := ps.cubeView().Answer(olap.Query{Op: p.Op, Dim: p.Dim, Keep: p.Keep, Where: p.Where})
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
 		return

@@ -230,6 +230,76 @@ func TestCubeQueryValidation(t *testing.T) {
 	if cr.TotalCells != 0 || len(cr.Cells) != 0 || cr.Op != wire.CubeOpSlice {
 		t.Fatalf("empty cube response %+v", cr)
 	}
+
+	// With one cell folded: a where member the plant never saw, and
+	// registered members no cell combines, are empty 200s — cells
+	// absent, the constraint echoed, total_cells the whole cube.
+	m := p.Machines()[0]
+	csv := "machine,job,phase,t,temp-a\n" + fmt.Sprintf("%s,%s,print,0,1.5\n", m.ID, m.Jobs[0].ID)
+	mustStatus(t, postRetry(t, ts.URL+"/v1/plants/plant-cq/ingest", "text/csv", []byte(csv)), http.StatusAccepted)
+	waitDrained(t, ts.URL, "plant-cq", 1)
+	const dims = `"dims":["line","machine","job","phase","sensor"]`
+	for q, want := range map[string]string{
+		"?where=machine%3Dghost": `{"plant":"plant-cq","op":"slice",` + dims + `,"where":["machine=ghost"],"total_cells":1}` + "\n",
+		"?where=phase%3Dcooldown&where=sensor%3Dtemp-a": `{"plant":"plant-cq","op":"slice",` + dims +
+			`,"where":["phase=cooldown","sensor=temp-a"],"total_cells":1}` + "\n",
+	} {
+		if got := getBody(t, ts.URL+"/v1/plants/plant-cq/cube"+q); string(got) != want {
+			t.Fatalf("%s:\ngot  %swant %s", q, got, want)
+		}
+	}
+}
+
+// TestCubeSliceAllocatesWithAnswerNotCube: once a record has advanced
+// the data revision, a machine slice must cost what its answer costs —
+// the evaluator scans the shard cubes in place and translates only the
+// matching cells — not a rebuild of all N cells.
+func TestCubeSliceAllocatesWithAnswerNotCube(t *testing.T) {
+	p, err := plant.Simulate(plant.Config{Seed: 3, Lines: 4, MachinesPerLine: 8, JobsPerMachine: 4, PhaseSamples: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Options{Shards: 2})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	register(t, ts.URL, topoFromPlant("plant-alloc", p))
+	recs := machineRecords(p)
+	mustStatus(t, postRetry(t, ts.URL+"/v1/plants/plant-alloc/ingest", "application/x-ndjson", ndjson(recs)), http.StatusAccepted)
+	waitDrained(t, ts.URL, "plant-alloc", uint64(len(recs)))
+
+	m0 := p.Machines()[0].ID
+	path := "/v1/plants/plant-alloc/cube?where=" + url.QueryEscape("machine="+m0)
+	var cr wire.CubeResponse
+	if err := json.Unmarshal(getBody(t, ts.URL+path), &cr); err != nil {
+		t.Fatal(err)
+	}
+	n := cr.TotalCells
+	if want := 32 * 4 * len(plant.PhaseNames) * len(plant.SensorNames); n != want || len(cr.Cells) != n/32 {
+		t.Fatalf("cube has %d cells (want %d), slice %d", n, want, len(cr.Cells))
+	}
+
+	// One more record — a fresh sample in an existing cell, so N
+	// stays put — makes every query that follows run at a new revision.
+	more := recs[len(recs)-1]
+	more.T++
+	mustStatus(t, postRetry(t, ts.URL+"/v1/plants/plant-alloc/ingest", "application/x-ndjson", ndjson([]Record{more})), http.StatusAccepted)
+	waitDrained(t, ts.URL, "plant-alloc", uint64(len(recs)+1))
+
+	handler := srv.Handler()
+	req := httptest.NewRequest(http.MethodGet, path, nil)
+	allocs := testing.AllocsPerRun(20, func() {
+		// A new revision per run: bump it the way a fold does.
+		srv.plants["plant-alloc"].dataRev.Add(1)
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	})
+	if bound := float64(n) / 4; allocs >= bound {
+		t.Fatalf("machine slice of %d cells out of %d allocates %.0f times per request, want < %.0f", n/32, n, allocs, bound)
+	}
 }
 
 // TestCubeSkipsNonFiniteRecords: a NaN sample in a CSV batch is

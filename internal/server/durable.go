@@ -501,7 +501,7 @@ func (ps *plantState) captureState() *snapState {
 				Machine: ps.in.machines.Name(k.machine), Sensor: ps.in.sensors.Name(k.sensor), EWMA: tr.State(),
 			})
 		}
-		sh.cube.Each(func(cell *olap.IntCell) {
+		sh.cube.Scan(func(cell *olap.IntCell) {
 			st.CubeCells = append(st.CubeCells, snapCubeCell{
 				Coord: ps.cubeCoordOf(cell.Coord),
 				Count: cell.Count, Sum: cell.Sum, Min: cell.Min, Max: cell.Max,

@@ -73,11 +73,12 @@ type shard struct {
 
 	// cube holds this shard's slice of the plant's OLAP cube (the
 	// machines hashed here), folded alongside the roll-up leaves under
-	// rollMu; queries merge the shard cubes (translating interned
-	// coordinates back to strings). cubeLast memoises the last-touched
-	// cell: consecutive trace records almost always land in the same
-	// cell (t varies fastest), so the hot path skips even the
-	// array-keyed map access. Guarded by rollMu like the cube itself.
+	// rollMu; queries scan the shard cubes in place (cubeView) and
+	// translate only answer cells back to strings. cubeLast memoises
+	// the last-touched cell: consecutive trace records almost always
+	// land in the same cell (t varies fastest), so the hot path skips
+	// even the array-keyed map access. Guarded by rollMu like the cube
+	// itself.
 	cube     *olap.IntCube
 	cubeLast struct {
 		coord olap.IntCoord
@@ -134,14 +135,6 @@ type plantState struct {
 	// dur is the durability attachment (nil when the server runs
 	// without a data dir): per-shard WALs plus snapshot state.
 	dur *plantDur
-
-	// Cube query cache: the shard cubes merged at one data revision.
-	// Rebuilt only when ingest advances the revision, so a burst of
-	// queries against a quiescent plant merges once (same pattern as
-	// the report-side snapshot cache). Guarded by cubeMu.
-	cubeMu       sync.Mutex
-	cubeCache    *olap.Cube
-	cubeCacheRev uint64
 
 	// Read side, all guarded by reportMu: the assembled snapshot, the
 	// revision it reflects, per-machine build revisions and built

@@ -240,7 +240,7 @@ func (ps *plantState) resolveFrame(dst []recordRef, f *wire.Frame) ([]recordRef,
 }
 
 // cubeCoordOf translates an interned cube coordinate back to its
-// string form for snapshots and merged query cubes.
+// string form for snapshots.
 func (ps *plantState) cubeCoordOf(c olap.IntCoord) []string {
 	return []string{
 		ps.in.lines.Name(c[0]), ps.in.machines.Name(c[1]), ps.in.jobs.Name(c[2]),

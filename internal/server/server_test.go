@@ -436,8 +436,8 @@ func TestBackpressure429(t *testing.T) {
 }
 
 // TestConcurrentClientsSmoke hammers one plant from many goroutines —
-// ingest, reports, rollups, alerts — and relies on -race in CI to
-// surface synchronization bugs.
+// ingest, reports, rollups, cube queries, alerts — and relies on -race
+// in CI to surface synchronization bugs.
 func TestConcurrentClientsSmoke(t *testing.T) {
 	p, err := plant.Simulate(plant.Config{
 		Seed: 9, Lines: 2, MachinesPerLine: 2, JobsPerMachine: 3,
@@ -494,7 +494,12 @@ func TestConcurrentClientsSmoke(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				for _, path := range []string{"/report?level=1&top=5", "/rollup?level=machine", "/alerts", "/stats"} {
+				for _, path := range []string{
+					"/report?level=1&top=5", "/rollup?level=machine", "/alerts", "/stats",
+					// The cube evaluator scans the shard cubes the workers
+					// are folding into and ranks a job dictionary that grows.
+					"/cube?op=rollup&keep=job,sensor", "/cube?op=members&dim=job",
+				} {
 					resp, err := http.Get(ts.URL + "/v1/plants/plant-smoke" + path)
 					if err != nil {
 						t.Error(err)
