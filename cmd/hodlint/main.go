@@ -12,7 +12,6 @@
 //	go run ./cmd/hodlint -json ./...       machine-readable findings + suppressions
 //	go run ./cmd/hodlint -fix ./...        apply suggested fixes (apierr rewrites)
 //	go run ./cmd/hodlint -run apierr ./...  run a subset of analyzers
-//	go vet -vettool=$(which hodlint) ./...  unitchecker protocol (per-package scope)
 //
 // Suppressions (//hod:allow(analyzer) reason) are honored and
 // counted; they are printed to stderr so a silent opt-out cannot
@@ -45,24 +44,9 @@ func main() {
 		jsonOut = flag.Bool("json", false, "emit machine-readable JSON (findings, fixes, suppressions)")
 		fix     = flag.Bool("fix", false, "apply suggested fixes to the source tree")
 		runList = flag.String("run", "", "comma-separated analyzer subset (default: all)")
-		version = flag.String("V", "", "vet tool protocol: print version and exit")
 	)
-	// go vet probes the tool with bare -flags before any run,
-	// expecting a JSON array describing the flags it may pass through.
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
 	flag.Parse()
-	if *version != "" {
-		// go vet probes the tool with -V=full for its build cache key.
-		fmt.Println("hodlint version v1")
-		return
-	}
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vetUnit(args[0], selected(*runList)))
-	}
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}

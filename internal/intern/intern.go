@@ -2,9 +2,11 @@
 // hot path: compact int32 ids assigned once (at plant registration, or
 // on first sight for the open job-id namespace), so every downstream
 // layer — shard routing, the idempotent store, roll-up leaves, the
-// OLAP cube — compares and hashes ints instead of strings. The string
-// forms stay the wire/API surface; translation happens exactly twice,
-// at batch admission and at the query/snapshot boundary.
+// OLAP cube, the snapshot — compares, hashes and stores ints instead of
+// strings. The string forms stay the wire/API surface; translation
+// happens exactly twice, at batch admission and when a query is
+// answered. Durable forms keep the ids and store the name list beside
+// them (NewDyn rebuilds the same assignment from it).
 package intern
 
 import "sync"
@@ -68,9 +70,9 @@ func NewDyn(names []string) *DynTable {
 }
 
 // Intern resolves name to its id, assigning the next free id on first
-// sight. The assigned ids never leak into responses or durable frames
-// (those carry names), so concurrent first-sights on different shards
-// may order ids differently between runs without observable effect.
+// sight. Ids never reach a response, and a durable form that holds them
+// holds Names() too, so concurrent first-sights on different shards may
+// order ids differently between runs without observable effect.
 func (t *DynTable) Intern(name string) int32 {
 	t.mu.RLock()
 	id, ok := t.ids[name]

@@ -266,46 +266,6 @@ func TestSnapshotRoundTripPreservesJobInterns(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotReintersDeterministically covers snapshots from
-// before interning (JobInterns absent): two independent restores must
-// assign identical job ids, so follower/standby pairs restored from
-// the same backup agree.
-func TestLegacySnapshotReintersDeterministically(t *testing.T) {
-	ps := newPlantState(binaryTestTopo())
-	ps.makeShards(2, 8)
-	ps.alertThreshold = 1e18
-	foldPlant(t, ps, binaryTestRecords())
-	st := ps.captureState()
-	st.JobInterns = nil // simulate a pre-intern snapshot
-
-	restore := func() *plantState {
-		r := newPlantState(binaryTestTopo())
-		r.makeShards(2, 8)
-		r.applyState(st)
-		return r
-	}
-	a, b := restore(), restore()
-	if got, want := a.in.jobs.Names(), b.in.jobs.Names(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("legacy re-intern diverged between restores: %v vs %v", got, want)
-	}
-	if a.in.jobs.Len() != 3 {
-		t.Fatalf("expected 3 re-interned jobs, got %d (%v)", a.in.jobs.Len(), a.in.jobs.Names())
-	}
-	// The restored state must answer like the original, whatever ids it
-	// picked.
-	wantLevel, wantNodes, err := ps.rollup("sensor")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotLevel, gotNodes, err := a.rollup("sensor")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantLevel != gotLevel || !reflect.DeepEqual(wantNodes, gotNodes) {
-		t.Fatalf("legacy restore rollup drifted:\nwant %v\n got %v", wantNodes, gotNodes)
-	}
-}
-
 // TestIngestSteadyStateZeroAlloc is the zero-alloc gate of the tentpole:
 // once identifiers are interned and cells exist, both halves of the
 // per-record hot path — batch resolution at admission and the shard

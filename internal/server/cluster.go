@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -303,8 +304,8 @@ func (s *Server) dropPlantLocal(id string) bool {
 }
 
 // seedStandby installs a warm copy of a plant from its current owner:
-// internal backup with WAL positions, the restore install sequence,
-// then a tailer from those positions.
+// internal backup with WAL positions, installState like a restore, then
+// a tailer from those positions.
 func (s *Server) seedStandby(plantID string) error {
 	s.cluster.opMu.Lock()
 	defer s.cluster.opMu.Unlock()
@@ -350,50 +351,11 @@ func (s *Server) seedStandby(plantID string) error {
 	if st.Topo.ID != plantID {
 		return fmt.Errorf("cluster: owner %s sent plant %q, wanted %q", owner.ID, st.Topo.ID, plantID)
 	}
-	// The owner's per-shard fold positions are where tailing starts;
-	// they mean nothing to the local (re-seeded, empty) WALs.
-	positions := append([]uint64(nil), st.ShardSeqs...)
-	st.ShardSeqs = nil
-	st.SnapshotRev = rev
-
-	ps := newPlantState(st.Topo)
-	ps.makeShards(s.opts.Shards, s.opts.QueueDepth)
-	ps.alertThreshold = s.opts.AlertThreshold
-	ps.publish = s.hub.Publish
-	ps.applyState(st)
-	var rebased []byte
-	if s.opts.DataDir != "" {
-		if rebased, err = encodeState(st); err != nil {
-			return err
-		}
+	// The owner's per-shard fold positions are where tailing starts.
+	positions := slices.Clone(st.ShardSeqs)
+	if err := s.installState(st, rev); err != nil {
+		return fmt.Errorf("cluster: seeding plant %q: %w", plantID, err)
 	}
-	s.mu.Lock()
-	if s.closed.Load() {
-		s.mu.Unlock()
-		return fmt.Errorf("cluster: server is shutting down")
-	}
-	if _, exists := s.plants[plantID]; exists {
-		s.mu.Unlock()
-		return fmt.Errorf("cluster: plant %q reappeared during seeding", plantID)
-	}
-	if s.opts.DataDir != "" {
-		//hod:allow(lockorder) seeding atomicity: the exists-check, plant-dir creation and baseline snapshot must be one critical section or a concurrent re-register of the same plant could interleave
-		cleanup, err := s.persistNewPlant(ps, st.Topo)
-		if err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		//hod:allow(lockorder) same seeding critical section: the baseline must be durable before the plant becomes visible
-		if err := wal.SaveSnapshot(ps.dur.dir, rev, rebased); err != nil {
-			cleanup()
-			s.mu.Unlock()
-			return err
-		}
-		ps.dur.snapRev.Store(rev)
-	}
-	ps.spawn()
-	s.plants[plantID] = ps
-	s.mu.Unlock()
 	s.startTailer(plantID, positions)
 	return nil
 }
@@ -595,43 +557,23 @@ func (t *walTailer) applyFrames(ps *plantState, shardIdx int, body io.Reader) (b
 	}
 }
 
-// apply folds one owner WAL payload through the standby's own admit
-// path: resolved against the local intern tables, re-chunked by the
-// local shard placement (the owner's shard count need not match),
-// durably logged locally, idempotently folded. Payloads dispatch like
-// local replay: tagged binary ref frames, else legacy gob entries.
+// apply folds one owner WAL entry through the standby's own admit
+// path: a record frame is resolved against the local intern tables,
+// re-chunked by the local shard placement (the owner's shard count need
+// not match), durably logged locally and idempotently folded; job
+// metadata is applied and logged like handleJobs does.
 func (t *walTailer) apply(ps *plantState, payload []byte) error {
-	if len(payload) > 0 && payload[0] == walRefTag {
-		var f wire.Frame
-		if err := wire.DecodeFrame(payload[1:], &f); err != nil {
-			return fmt.Errorf("%w: %v", errShipCorrupt, err)
-		}
-		refs, rejected, _ := ps.resolveFrame(nil, &f)
-		if rejected > 0 {
-			ps.rejected.Add(uint64(rejected))
-		}
-		return t.admitRefs(ps, refs)
-	}
-	ent, err := decodeEntry(payload)
+	f, metas, err := decodeWalEntry(payload)
 	if err != nil {
 		return fmt.Errorf("%w: %v", errShipCorrupt, err)
 	}
-	if len(ent.Recs) > 0 {
-		refs, rejected, _ := ps.resolveRecords(nil, ent.Recs)
-		if rejected > 0 {
-			ps.rejected.Add(uint64(rejected))
-		}
-		if err := t.admitRefs(ps, refs); err != nil {
-			return err
-		}
+	if f != nil {
+		refs, rejected, _ := ps.resolveFrame(nil, f)
+		ps.rejected.Add(uint64(rejected))
+		return t.admitRefs(ps, refs)
 	}
-	if len(ent.Jobs) > 0 {
-		ps.applyJobMetas(ent.Jobs)
-		if err := ps.appendJobs(ent.Jobs); err != nil {
-			return err
-		}
-	}
-	return nil
+	ps.applyJobMetas(metas)
+	return ps.appendJobs(metas)
 }
 
 // admitRefs pushes resolved refs through the local admit path, waiting

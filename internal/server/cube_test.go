@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -12,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/plant"
-	"repro/internal/wal"
 	"repro/pkg/hod"
 	"repro/pkg/hod/wire"
 )
@@ -342,40 +340,14 @@ func TestCubeSkipsNonFiniteRecords(t *testing.T) {
 
 // TestRestoreRejectsMalformedCubeCells: a forged backup cannot smuggle
 // a malformed cube cell past the gate — non-finite aggregates, empty
-// cells, wrong arity, and coordinate members carrying control
-// characters are all refused with the generic bad_request code (the
-// cube-fed flavour of the non-finite 400 policy), never silently
-// dropped by applyState.
+// cells, a coordinate outside its dictionary in any dimension, and a
+// cell stored twice are all refused with the generic bad_request code
+// (the cube-fed flavour of the non-finite 400 policy), never silently
+// dropped by applyState. A member carrying the cube's reserved
+// separator can only enter through the job table; the job-name cases of
+// TestRestoreValidatesJobVectors cover it.
 func TestRestoreRejectsMalformedCubeCells(t *testing.T) {
-	topo := topoWithDefaults(Topology{ID: "cube-bad", Lines: []TopoLine{{ID: "l", Machines: []string{"l/m1"}}}})
-	goodCoord := []string{"l", "l/m1", "j1", "print", "temp-a"}
-	srv := New(Options{})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	for name, cell := range map[string]snapCubeCell{
-		"non-finite sum": {Coord: goodCoord, Count: 1, Sum: math.Inf(1)},
-		"empty cell":     {Coord: goodCoord, Count: 0, Sum: 1, Min: 1, Max: 1},
-		"wrong arity":    {Coord: goodCoord[:3], Count: 1, Sum: 1, Min: 1, Max: 1},
-		"key separator":  {Coord: []string{"l", "l/m1", "j\x1fprint", "x", "temp-a"}, Count: 1, Sum: 1, Min: 1, Max: 1},
-	} {
-		st := &snapState{Topo: topo, Machines: map[string]snapMachine{}, CubeCells: []snapCubeCell{cell}}
-		payload, err := encodeState(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ts.URL+"/v1/plants/cube-bad/restore", "application/octet-stream",
-			bytes.NewReader(wal.EncodeSnapshot(1, payload)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body := mustStatus(t, resp, http.StatusBadRequest)
-		var env wire.ErrorEnvelope
-		if err := json.Unmarshal(body, &env); err != nil || env.Err.Code != wire.CodeBadRequest {
-			t.Fatalf("%s: error body %s, want code %s", name, body, wire.CodeBadRequest)
-		}
-	}
+	restoreForged(t, forgedCubeCases)
 }
 
 // TestControlCharIdentifiersRejected: cube coordinates are built from

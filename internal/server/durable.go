@@ -2,15 +2,17 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"math"
 	"net/url"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -33,37 +35,47 @@ import (
 // applying the snapshot and replaying the WAL tail through the regular
 // fold path; the idempotent set-at-index store makes over-replay
 // harmless, so the recovery boundary only has to be conservative.
+//
+// Both durable forms are interned state next to the dictionaries that
+// define its ids. A WAL frame carries its own (machines, phases,
+// sensors, jobs) dictionaries and resolves against whatever plant
+// replays it; a snapshot carries the topology and the job table and is
+// only ever applied to a plant built from that same topology, so its
+// ids index the store directly.
 
-// walEntry is one durable unit of the legacy gob encoding: a shard
-// chunk of validated records, or a batch of applied job metadata
-// (shard 0's log). New record chunks are written as tagged binary
-// frames (walRefTag below); gob remains for job metadata and for
-// replaying logs written before the binary format existed.
-type walEntry struct {
-	Recs []wire.Record
-	Jobs []wire.JobMeta
-}
+// A WAL payload is one tagged entry: a shard chunk of admitted records
+// as a wire.Frame (without its length prefix — the WAL already frames
+// payloads), or, on shard 0's log, a batch of applied job metadata as
+// the JSON []wire.JobMeta handleJobs validated.
+const (
+	walRefTag  = 0xB1
+	walJobsTag = 0xB2
+)
 
-func encodeEntry(e walEntry) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		return nil, err
+var errWalTag = errors.New("unknown WAL entry tag")
+
+// decodeWalEntry decodes one WAL payload into what it carries: a record
+// frame or job metadata, never both.
+func decodeWalEntry(p []byte) (*wire.Frame, []JobMeta, error) {
+	if len(p) == 0 {
+		return nil, nil, fmt.Errorf("%w: empty entry", errWalTag)
 	}
-	return buf.Bytes(), nil
+	switch p[0] {
+	case walRefTag:
+		f := new(wire.Frame)
+		if err := wire.DecodeFrame(p[1:], f); err != nil {
+			return nil, nil, err
+		}
+		return f, nil, nil
+	case walJobsTag:
+		var metas []JobMeta
+		if err := json.Unmarshal(p[1:], &metas); err != nil {
+			return nil, nil, fmt.Errorf("job metadata entry: %w", err)
+		}
+		return nil, metas, nil
+	}
+	return nil, nil, fmt.Errorf("%w 0x%02x", errWalTag, p[0])
 }
-
-func decodeEntry(p []byte) (walEntry, error) {
-	var e walEntry
-	err := gob.NewDecoder(bytes.NewReader(p)).Decode(&e)
-	return e, err
-}
-
-// walRefTag marks a WAL payload holding one wire.Frame (without its
-// length prefix — the WAL already frames payloads) instead of a gob
-// walEntry. A gob stream's first byte is an unsigned varint length in
-// 0x01..0x7f (or a 0xf8..0xff length-of-length marker), so 0xB1 never
-// collides with a legacy entry.
-const walRefTag = 0xB1
 
 // The admit path re-encodes each chunk into a frame without touching
 // the JSON machinery; the scratch encode buffers and the replay-side
@@ -129,70 +141,233 @@ func (ps *plantState) appendRefFrame(dst []byte, f *wire.Frame, refs []recordRef
 }
 
 // Snapshot payload: the full serving state of one plant, captured at a
-// shard batch boundary. ShardSeqs pins the WAL position the capture
+// shard batch boundary, in the shape the store holds it. Topo (in
+// registration order) and JobInterns are the dictionaries; every other
+// identifier is an id into them, and every id-indexed slice may stop
+// short of its dictionary. ShardSeqs pins the WAL position the capture
 // covers per shard — replay starts after it, compaction ends at it.
 type (
 	snapJob struct {
+		Job             int32 // index into JobInterns
 		Setup, CAQ      []float64
 		Faulty, HasMeta bool
-		Phases          map[string]map[string][]float64 // phase → sensor → samples
+		Phases          [][][]float64 // phase id → sensor id → samples; an untouched phase is empty
 	}
 	snapMachine struct {
 		Rev  uint64
-		Jobs map[string]snapJob
+		Jobs []snapJob // ascending Job
 	}
 	snapLeaf struct {
-		Machine, Phase, Sensor string
+		Machine, Phase, Sensor int32
 		Roll                   stats.OnlineState
 	}
 	snapTracker struct {
-		Machine, Sensor string
+		Machine, Sensor int32
 		EWMA            stats.EWMAState
 	}
-	snapCubeCell struct {
-		Coord         []string // line, machine, job, phase, sensor
-		Count         int
-		Sum, Min, Max float64
-	}
 	snapState struct {
-		Topo     wire.Topology
-		Machines map[string]snapMachine
-		Env      map[string][]float64
+		Topo       wire.Topology
+		JobInterns []string // job id → name
+
+		Machines []snapMachine // by machine id
+		Env      [][]float64   // environment sensor id → samples
 		EnvRev   uint64
 
 		DataRev, Accepted, Received, Rejected, Shed uint64
 
+		// Ascending by id tuple, so equal states encode to equal bytes
+		// whatever order the shard maps iterated in.
 		Leaves    []snapLeaf
 		Trackers  []snapTracker
-		CubeCells []snapCubeCell
-		Alerts    []wire.Alert // oldest first
-		AlertSeq  uint64       // plant-wide alert sequence high-water mark
+		CubeCells []olap.IntCell // Coord: line, machine, job, phase, sensor
+
+		Alerts   []wire.Alert // oldest first
+		AlertSeq uint64       // plant-wide alert sequence high-water mark
 
 		ShardSeqs   []uint64
 		SnapshotRev uint64
-
-		// JobInterns is the job intern table in id order, so a restore
-		// reproduces the exact id assignment the snapshot was captured
-		// under. Absent (nil) in snapshots from before interning; those
-		// re-intern deterministically on apply.
-		JobInterns []string
 	}
 )
 
+func cmpJob(a, b snapJob) int { return cmp.Compare(a.Job, b.Job) }
+
+func cmpLeaf(a, b snapLeaf) int {
+	return cmp.Or(cmp.Compare(a.Machine, b.Machine), cmp.Compare(a.Phase, b.Phase), cmp.Compare(a.Sensor, b.Sensor))
+}
+
+func cmpTracker(a, b snapTracker) int {
+	return cmp.Or(cmp.Compare(a.Machine, b.Machine), cmp.Compare(a.Sensor, b.Sensor))
+}
+
+func cmpCell(a, b olap.IntCell) int { return slices.Compare(a.Coord[:], b.Coord[:]) }
+
+// snapFormat leads every snapshot payload; the gob of snapState follows.
+// A payload with any other first byte — the untagged, name-keyed gob of
+// earlier versions starts with gob's own length prefix — is refused
+// with errSnapFormat instead of decoding into an empty plant.
+const snapFormat = 1
+
+var (
+	errSnapFormat = errors.New("unsupported snapshot format")
+	// errJobVector marks the validateState failures handleJobs would
+	// have answered with the vector_dims code.
+	errJobVector = errors.New("job vector")
+)
+
 func encodeState(st *snapState) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+	buf := bytes.NewBuffer([]byte{snapFormat})
+	if err := gob.NewEncoder(buf).Encode(st); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
+// decodeState decodes a snapshot payload and vets it, so a state it
+// returns is safe to applyState — whether it came from the data dir, a
+// restore body or a cluster peer.
 func decodeState(p []byte) (*snapState, error) {
+	if len(p) == 0 || p[0] != snapFormat {
+		return nil, fmt.Errorf("%w: want format %d; snapshots and backups of earlier versions cannot be read, re-ingest the plant", errSnapFormat, snapFormat)
+	}
 	var st snapState
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&st); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(p[1:])).Decode(&st); err != nil {
+		return nil, err
+	}
+	// Every snapshot this server writes holds a registered topology:
+	// decoded from JSON, defaults filled in. A hand-made one gets the
+	// same treatment — through the encoding meta.json stores, which
+	// rewrites a name that is not valid UTF-8 — so the ids below are
+	// vetted against the topology the plant is rebuilt and reloaded with.
+	var topo Topology
+	if err := json.Unmarshal(topoJSON(st.Topo), &topo); err != nil {
+		return nil, err
+	}
+	st.Topo = topoWithDefaults(topo)
+	if err := validateState(&st); err != nil {
 		return nil, err
 	}
 	return &st, nil
+}
+
+func strictlyAscending[T any](s []T, cmp func(a, b T) int) bool {
+	for i := 1; i < len(s); i++ {
+		if cmp(s[i-1], s[i]) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// validateState holds a decoded snapshot to what the live paths
+// guarantee of the state they build, so applyState can index with its
+// ids and re-add its cube cells without a failure branch: a valid
+// topology; unique, well-formed job names; every id inside its
+// dictionary and every id-indexed slice no longer than it; job vectors
+// within the topology dims and finite (the handleJobs gate — padVector
+// would silently truncate an oversized one, a non-finite one would
+// poison the level-2 detectors); cube cells non-empty and finite (the
+// olap.AddAggregate gate); jobs, leaves, trackers and cells strictly
+// ascending, which is also what makes each of them unique.
+func validateState(st *snapState) error {
+	topo := st.Topo
+	if err := topo.Validate(); err != nil {
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	var machines []string
+	for _, l := range topo.Lines {
+		machines = append(machines, l.Machines...)
+	}
+	dims := [...]int{len(topo.Lines), len(machines), len(st.JobInterns), len(topo.Phases), len(topo.Sensors)}
+	nMachines, nJobs, nPhases, nSensors := dims[1], dims[2], dims[3], dims[4]
+	in := func(id int32, n int) bool { return id >= 0 && int(id) < n }
+
+	for _, name := range st.JobInterns {
+		if name == "" {
+			return fmt.Errorf("snapshot: empty job id")
+		}
+		if err := wire.ValidIdent("job", name); err != nil {
+			return fmt.Errorf("snapshot: %w", err)
+		}
+	}
+	// applyState rebuilds the job table from this list; a repeated name
+	// would keep its first id and shift every id after it.
+	if intern.NewDyn(st.JobInterns).Len() != nJobs {
+		return fmt.Errorf("snapshot: a job name is interned twice")
+	}
+
+	if len(st.Machines) > nMachines || len(st.Env) > len(topo.EnvSensors) {
+		return fmt.Errorf("snapshot: %d machine stores and %d environment series for a topology of %d and %d",
+			len(st.Machines), len(st.Env), nMachines, len(topo.EnvSensors))
+	}
+	for mid, sm := range st.Machines {
+		if !strictlyAscending(sm.Jobs, cmpJob) {
+			return fmt.Errorf("snapshot: machine %s: jobs not in ascending id order", machines[mid])
+		}
+		for _, sj := range sm.Jobs {
+			if !in(sj.Job, nJobs) {
+				return fmt.Errorf("snapshot: machine %s: job id %d outside the job table (%d)", machines[mid], sj.Job, nJobs)
+			}
+			job := st.JobInterns[sj.Job]
+			if len(sj.Setup) > topo.SetupDims || len(sj.CAQ) > topo.CAQDims {
+				return fmt.Errorf("snapshot: machine %s job %s: %w: setup/caq longer than the topology dims (%d/%d)",
+					machines[mid], job, errJobVector, topo.SetupDims, topo.CAQDims)
+			}
+			if !finite(sj.Setup...) || !finite(sj.CAQ...) {
+				return fmt.Errorf("snapshot: machine %s job %s: %w: non-finite setup/caq value", machines[mid], job, errJobVector)
+			}
+			if len(sj.Phases) > nPhases {
+				return fmt.Errorf("snapshot: machine %s job %s: %d phases, topology has %d", machines[mid], job, len(sj.Phases), nPhases)
+			}
+			for _, cells := range sj.Phases {
+				if len(cells) > nSensors {
+					return fmt.Errorf("snapshot: machine %s job %s: %d sensor series, topology has %d", machines[mid], job, len(cells), nSensors)
+				}
+			}
+		}
+	}
+
+	for _, lf := range st.Leaves {
+		if !in(lf.Machine, nMachines) || !in(lf.Phase, nPhases) || !in(lf.Sensor, nSensors) {
+			return fmt.Errorf("snapshot: roll-up leaf %d/%d/%d outside the topology", lf.Machine, lf.Phase, lf.Sensor)
+		}
+	}
+	for _, tk := range st.Trackers {
+		if !in(tk.Machine, nMachines) || !in(tk.Sensor, nSensors) {
+			return fmt.Errorf("snapshot: tracker %d/%d outside the topology", tk.Machine, tk.Sensor)
+		}
+	}
+	for _, c := range st.CubeCells {
+		for d, id := range c.Coord {
+			if !in(id, dims[d]) {
+				return fmt.Errorf("snapshot: cube cell %v: %s id outside its dictionary (%d)", c.Coord, cubeDims[d], dims[d])
+			}
+		}
+		if c.Count <= 0 || !finite(c.Sum, c.Min, c.Max) {
+			return fmt.Errorf("snapshot: cube cell %v: empty or non-finite aggregate", c.Coord)
+		}
+	}
+	if !strictlyAscending(st.Leaves, cmpLeaf) || !strictlyAscending(st.Trackers, cmpTracker) || !strictlyAscending(st.CubeCells, cmpCell) {
+		return fmt.Errorf("snapshot: leaves, trackers or cube cells not in ascending id order")
+	}
+
+	if len(st.Alerts) > alertRingCap {
+		return fmt.Errorf("snapshot: %d alerts, the ring holds %d", len(st.Alerts), alertRingCap)
+	}
+	for _, a := range st.Alerts {
+		if a.Seq > st.AlertSeq {
+			return fmt.Errorf("snapshot: alert sequence %d above the high-water mark %d", a.Seq, st.AlertSeq)
+		}
+	}
+	return nil
 }
 
 // plantDur is one plant's durability attachment: its directory, the
@@ -235,58 +410,6 @@ const (
 	maxRestoreBytes = 1 << 30
 )
 
-// validateState applies the ingest path's job-vector gate to a decoded
-// backup: oversized vectors would be silently truncated by padVector at
-// report-build time and non-finite ones would poison the level-2
-// detectors — exactly what handleJobs rejects with 400.
-func validateState(st *snapState) error {
-	for machineID, sm := range st.Machines {
-		for jobID, sj := range sm.Jobs {
-			if len(sj.Setup) > st.Topo.SetupDims || len(sj.CAQ) > st.Topo.CAQDims {
-				return fmt.Errorf("backup: machine %s job %s: setup/caq vector longer than the topology dims (%d/%d)",
-					machineID, jobID, st.Topo.SetupDims, st.Topo.CAQDims)
-			}
-			for _, v := range sj.Setup {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return fmt.Errorf("backup: machine %s job %s: non-finite setup value", machineID, jobID)
-				}
-			}
-			for _, v := range sj.CAQ {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return fmt.Errorf("backup: machine %s job %s: non-finite caq value", machineID, jobID)
-				}
-			}
-		}
-	}
-	// Cube cells are fed back through olap.AddAggregate on apply; a
-	// forged backup must not smuggle past the gates the live ingest
-	// path enforces — non-finite aggregates (ErrNonFinite), wrong
-	// arity, empty cells, or coordinate members carrying control
-	// characters (which could collide with the cube's reserved key
-	// separator). Rejecting here keeps applyState's apply loop
-	// infallible for vetted state.
-	for _, cc := range st.CubeCells {
-		if len(cc.Coord) != len(cubeDims) {
-			return fmt.Errorf("backup: cube cell %v: %w: coordinate arity %d, want %d",
-				cc.Coord, olap.ErrSchema, len(cc.Coord), len(cubeDims))
-		}
-		if cc.Count <= 0 {
-			return fmt.Errorf("backup: cube cell %v: %w: count %d", cc.Coord, olap.ErrSchema, cc.Count)
-		}
-		for _, m := range cc.Coord {
-			if err := wire.ValidIdent("cube member", m); err != nil {
-				return fmt.Errorf("backup: %w: %v", olap.ErrSchema, err)
-			}
-		}
-		for _, v := range []float64{cc.Sum, cc.Min, cc.Max} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("backup: cube cell %v: %w", cc.Coord, olap.ErrNonFinite)
-			}
-		}
-	}
-	return nil
-}
-
 func walDirName(i int) string { return fmt.Sprintf("%s%03d", walDirPrefix, i) }
 
 // plantDirName maps a plant id onto a filesystem-safe directory name.
@@ -316,17 +439,20 @@ func (ps *plantState) attachDur(dir string, wopts wal.Options) error {
 	return nil
 }
 
+// topoJSON is the body of meta.json. Encoding a Topology — strings and
+// ints — cannot fail.
+func topoJSON(topo Topology) []byte {
+	buf, _ := json.MarshalIndent(topo, "", "  ")
+	return append(buf, '\n')
+}
+
 // persistMeta writes the registered topology so a restart can rebuild
 // the plant before any snapshot exists.
 func persistMeta(dir string, topo Topology) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	buf, err := json.MarshalIndent(topo, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, plantMetaName), append(buf, '\n'), 0o644)
+	return os.WriteFile(filepath.Join(dir, plantMetaName), topoJSON(topo), 0o644)
 }
 
 // startSnapshotLoop snapshots the plant every interval until close.
@@ -414,17 +540,19 @@ func (ps *plantState) appendJobs(metas []JobMeta) error {
 	if ps.dur == nil || len(metas) == 0 {
 		return nil
 	}
-	payload, err := encodeEntry(walEntry{Jobs: metas})
+	body, err := json.Marshal(metas)
 	if err != nil {
 		return err
 	}
-	_, err = ps.dur.logs[0].Append(payload)
+	_, err = ps.dur.logs[0].Append(append([]byte{walJobsTag}, body...))
 	return err
 }
 
-// captureState stops every shard worker at a batch boundary and copies
-// the full serving state — the consistent cut that makes snapshot +
-// WAL-tail replay reproduce exactly what an uninterrupted run holds.
+// captureState stops every shard worker at a batch boundary and deep-
+// copies the full serving state — the consistent cut that makes
+// snapshot + WAL-tail replay reproduce exactly what an uninterrupted
+// run holds. Two captures of the same state are equal, element for
+// element: what lives in maps is copied out in ascending id order.
 func (ps *plantState) captureState() *snapState {
 	for _, sh := range ps.shards {
 		sh.foldMu.Lock()
@@ -436,90 +564,57 @@ func (ps *plantState) captureState() *snapState {
 	}()
 
 	st := &snapState{
-		Topo:     ps.topo,
-		Machines: make(map[string]snapMachine, len(ps.machines)),
-		DataRev:  ps.dataRev.Load(),
-		Accepted: ps.accepted.Load(),
-		Received: ps.received.Load(),
-		Rejected: ps.rejected.Load(),
-		Shed:     ps.shed.Load(),
+		Topo:       ps.topo,
+		JobInterns: ps.in.jobs.Names(),
+		Machines:   make([]snapMachine, len(ps.mstores)),
+		DataRev:    ps.dataRev.Load(),
+		Accepted:   ps.accepted.Load(),
+		Received:   ps.received.Load(),
+		Rejected:   ps.rejected.Load(),
+		Shed:       ps.shed.Load(),
+		ShardSeqs:  make([]uint64, len(ps.shards)),
 	}
-	st.ShardSeqs = make([]uint64, len(ps.shards))
 	for i, sh := range ps.shards {
 		st.ShardSeqs[i] = sh.foldedSeq.Load()
 	}
-	st.JobInterns = ps.in.jobs.Names()
-	for id, ms := range ps.machines {
+	for mid, ms := range ps.mstores {
 		ms.mu.Lock()
-		sm := snapMachine{Rev: ms.rev, Jobs: make(map[string]snapJob, len(ms.jobs))}
-		for jid, js := range ms.jobs {
+		sm := snapMachine{Rev: ms.rev, Jobs: make([]snapJob, 0, len(ms.jobsByID))}
+		for jid, js := range ms.jobsByID {
 			sj := snapJob{
-				Setup:   append([]float64(nil), js.setup...),
-				CAQ:     append([]float64(nil), js.caq...),
-				Faulty:  js.faulty,
-				HasMeta: js.hasMeta,
-				Phases:  make(map[string]map[string][]float64, len(js.phases)),
+				Job: jid, Setup: slices.Clone(js.setup), CAQ: slices.Clone(js.caq),
+				Faulty: js.faulty, HasMeta: js.hasMeta,
+				Phases: make([][][]float64, len(js.phases)),
 			}
-			// The snapshot schema carries names, not ids: a backup must
-			// restore into a process whose job-id assignment differs.
-			for phID, g := range js.phases {
-				if g == nil {
-					continue
+			for ph, g := range js.phases {
+				if g != nil {
+					sj.Phases[ph] = cloneSeries(g.bufs)
 				}
-				cells := make(map[string][]float64, len(g.bufs))
-				for sID, buf := range g.bufs {
-					if len(buf) == 0 {
-						continue
-					}
-					cells[ps.topo.Sensors[sID]] = append([]float64(nil), buf...)
-				}
-				sj.Phases[ps.topo.Phases[phID]] = cells
 			}
-			sm.Jobs[jid] = sj
+			sm.Jobs = append(sm.Jobs, sj)
 		}
 		ms.mu.Unlock()
-		st.Machines[id] = sm
+		slices.SortFunc(sm.Jobs, cmpJob)
+		st.Machines[mid] = sm
 	}
 	ps.env.mu.Lock()
 	st.EnvRev = ps.env.rev
-	st.Env = make(map[string][]float64, len(ps.env.bufs))
-	for id, buf := range ps.env.bufs {
-		if len(buf) == 0 {
-			continue
-		}
-		st.Env[ps.topo.EnvSensors[id]] = append([]float64(nil), buf...)
-	}
+	st.Env = cloneSeries(ps.env.bufs)
 	ps.env.mu.Unlock()
 	for _, sh := range ps.shards {
 		sh.rollMu.Lock()
 		for k, o := range sh.roll {
-			sk := ps.rollKeyOf(k)
-			st.Leaves = append(st.Leaves, snapLeaf{Machine: sk.machine, Phase: sk.phase, Sensor: sk.sensor, Roll: o.State()})
+			st.Leaves = append(st.Leaves, snapLeaf{Machine: k.machine, Phase: k.phase, Sensor: k.sensor, Roll: o.State()})
 		}
 		for k, tr := range sh.trackers {
-			st.Trackers = append(st.Trackers, snapTracker{
-				Machine: ps.in.machines.Name(k.machine), Sensor: ps.in.sensors.Name(k.sensor), EWMA: tr.State(),
-			})
+			st.Trackers = append(st.Trackers, snapTracker{Machine: k.machine, Sensor: k.sensor, EWMA: tr.State()})
 		}
-		sh.cube.Scan(func(cell *olap.IntCell) {
-			st.CubeCells = append(st.CubeCells, snapCubeCell{
-				Coord: ps.cubeCoordOf(cell.Coord),
-				Count: cell.Count, Sum: cell.Sum, Min: cell.Min, Max: cell.Max,
-			})
-		})
+		sh.cube.Scan(func(cell *olap.IntCell) { st.CubeCells = append(st.CubeCells, *cell) })
 		sh.rollMu.Unlock()
 	}
-	// The shard cubes iterate in map order; sort the translated cells so
-	// two captures of the same state encode to the same bytes.
-	sort.Slice(st.CubeCells, func(i, j int) bool {
-		a, b := st.CubeCells[i].Coord, st.CubeCells[j].Coord
-		for d := range a {
-			if a[d] != b[d] {
-				return a[d] < b[d]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(st.Leaves, cmpLeaf)
+	slices.SortFunc(st.Trackers, cmpTracker)
+	slices.SortFunc(st.CubeCells, cmpCell)
 	st.Alerts = ps.recentAlerts(0)
 	ps.alertMu.Lock()
 	st.AlertSeq = ps.alertSeq
@@ -527,143 +622,61 @@ func (ps *plantState) captureState() *snapState {
 	return st
 }
 
-// applyState loads a captured snapshot into a quiescent plantState
-// (shards made, workers not yet spawned). Roll-up leaves and trackers
-// are routed by the *current* machine→shard hash, so a restart with a
-// different shard count still lands them where the worker expects.
-func (ps *plantState) applyState(st *snapState) {
-	// Reproduce the job-id assignment the snapshot was captured under;
-	// snapshots from before interning carry no table, so re-intern in
-	// sorted machine/job order — deterministic regardless of the map
-	// iteration the capture side used.
-	if st.JobInterns != nil {
-		ps.in.jobs = intern.NewDyn(st.JobInterns)
-	} else {
-		machineIDs := make([]string, 0, len(st.Machines))
-		for id := range st.Machines {
-			machineIDs = append(machineIDs, id)
-		}
-		sort.Strings(machineIDs)
-		for _, id := range machineIDs {
-			jobIDs := make([]string, 0, len(st.Machines[id].Jobs))
-			for jid := range st.Machines[id].Jobs {
-				jobIDs = append(jobIDs, jid)
-			}
-			sort.Strings(jobIDs)
-			for _, jid := range jobIDs {
-				ps.in.jobs.Intern(jid)
-			}
-		}
+func cloneSeries(bufs [][]float64) [][]float64 {
+	out := make([][]float64, len(bufs))
+	for i, buf := range bufs {
+		out[i] = slices.Clone(buf)
 	}
-	for id, sm := range st.Machines {
-		ms := ps.machines[id]
-		if ms == nil {
-			continue // machine no longer in the registered topology
-		}
+	return out
+}
+
+// applyState loads a state decodeState vetted (or captureState just
+// produced) into a quiescent plantState built from the same topology:
+// shards made, workers not yet spawned. Ids index the stores directly.
+// Roll-up leaves, trackers and cube cells are routed by the *current*
+// machine→shard hash, so a restart with a different shard count still
+// lands them where the worker expects.
+func (ps *plantState) applyState(st *snapState) {
+	ps.in.jobs = intern.NewDyn(st.JobInterns)
+	for mid, sm := range st.Machines {
+		ms := ps.mstores[mid]
 		ms.rev = sm.Rev
-		for jid, sj := range sm.Jobs {
-			js := &jobStore{
-				setup:   append([]float64(nil), sj.Setup...),
-				caq:     append([]float64(nil), sj.CAQ...),
-				faulty:  sj.Faulty,
-				hasMeta: sj.HasMeta,
-				phases:  make([]*cellGrid, ms.nPhases),
-			}
+		for _, sj := range sm.Jobs {
+			js := ms.job(sj.Job)
+			js.setup, js.caq = slices.Clone(sj.Setup), slices.Clone(sj.CAQ)
+			js.faulty, js.hasMeta = sj.Faulty, sj.HasMeta
 			for ph, cells := range sj.Phases {
-				phID, ok := ps.in.phases.ID(ph)
-				if !ok {
-					log.Printf("server: plant %s: dropping snapshot phase %q (not in the registered topology)", ps.topo.ID, ph)
-					continue
+				if len(cells) > 0 {
+					g := &cellGrid{bufs: make([][]float64, ms.nSensors)}
+					copy(g.bufs, cloneSeries(cells))
+					js.phases[ph] = g
 				}
-				g := &cellGrid{bufs: make([][]float64, ms.nSensors)}
-				for sensor, buf := range cells {
-					sID, ok := ps.in.sensors.ID(sensor)
-					if !ok {
-						log.Printf("server: plant %s: dropping snapshot sensor %q (not in the registered topology)", ps.topo.ID, sensor)
-						continue
-					}
-					g.bufs[sID] = append([]float64(nil), buf...)
-				}
-				js.phases[phID] = g
 			}
-			ms.jobs[jid] = js
-			ms.jobsByID[ps.in.jobs.Intern(jid)] = js
 		}
 	}
 	ps.env.rev = st.EnvRev
-	for sensor, buf := range st.Env {
-		id, ok := ps.in.envSensors.ID(sensor)
-		if !ok {
-			log.Printf("server: plant %s: dropping snapshot environment sensor %q", ps.topo.ID, sensor)
-			continue
-		}
-		ps.env.bufs[id] = append([]float64(nil), buf...)
-	}
+	copy(ps.env.bufs, cloneSeries(st.Env))
 	ps.dataRev.Store(st.DataRev)
 	ps.accepted.Store(st.Accepted)
 	ps.received.Store(st.Received)
 	ps.rejected.Store(st.Rejected)
 	ps.shed.Store(st.Shed)
 	for _, lf := range st.Leaves {
-		mid, ok1 := ps.in.machines.ID(lf.Machine)
-		pid, ok2 := ps.in.phases.ID(lf.Phase)
-		sid, ok3 := ps.in.sensors.ID(lf.Sensor)
-		if !ok1 || !ok2 || !ok3 {
-			log.Printf("server: plant %s: dropping snapshot roll-up leaf %s/%s/%s", ps.topo.ID, lf.Machine, lf.Phase, lf.Sensor)
-			continue
-		}
-		sh := ps.shards[ps.shardOf[mid]]
 		o := stats.OnlineFromState(lf.Roll)
-		sh.roll[rollRef{machine: mid, phase: pid, sensor: sid}] = &o
+		ps.shards[ps.shardOf[lf.Machine]].roll[rollRef{lf.Machine, lf.Phase, lf.Sensor}] = &o
 	}
 	for _, tk := range st.Trackers {
-		mid, ok1 := ps.in.machines.ID(tk.Machine)
-		sid, ok2 := ps.in.sensors.ID(tk.Sensor)
-		if !ok1 || !ok2 {
-			log.Printf("server: plant %s: dropping snapshot tracker %s/%s", ps.topo.ID, tk.Machine, tk.Sensor)
-			continue
-		}
-		sh := ps.shards[ps.shardOf[mid]]
-		sh.trackers[trackRef{machine: mid, sensor: sid}] = stats.EWMAFromState(tk.EWMA)
+		ps.shards[ps.shardOf[tk.Machine]].trackers[trackRef{tk.Machine, tk.Sensor}] = stats.EWMAFromState(tk.EWMA)
 	}
-	for _, cc := range st.CubeCells {
-		if len(cc.Coord) != len(cubeDims) {
-			continue // cube schema drift in an old snapshot
-		}
-		lid, ok0 := ps.in.lines.ID(cc.Coord[0])
-		mid, ok1 := ps.in.machines.ID(cc.Coord[1])
-		pid, ok2 := ps.in.phases.ID(cc.Coord[3])
-		sid, ok3 := ps.in.sensors.ID(cc.Coord[4])
-		if !ok0 || !ok1 || !ok2 || !ok3 {
-			log.Printf("server: plant %s: dropping snapshot cube cell %v (coordinate not in the registered topology)", ps.topo.ID, cc.Coord)
-			continue
-		}
-		coord := olap.IntCoord{lid, mid, ps.in.jobs.Intern(cc.Coord[2]), pid, sid}
-		// Coord[1] is the machine: route the cell to the shard whose
-		// worker folds that machine under the current shard count.
-		// AddAggregate cannot fail on vetted state: our own snapshots
-		// hold only cells the fold path accepted, and restore bodies
-		// passed validateState (arity, count, finiteness, separator).
-		sh := ps.shards[ps.shardOf[mid]]
-		if err := sh.cube.AddAggregate(coord, cc.Count, cc.Sum, cc.Min, cc.Max); err != nil {
-			log.Printf("server: plant %s: dropping malformed snapshot cube cell %v: %v", ps.topo.ID, cc.Coord, err)
-		}
+	for _, c := range st.CubeCells {
+		// Coord[1] is the machine. AddAggregate only refuses an empty or
+		// non-finite aggregate, or a merge overflowing an existing cell:
+		// validateState (and the fold path before it) rules out all three.
+		_ = ps.shards[ps.shardOf[c.Coord[1]]].cube.AddAggregate(c.Coord, c.Count, c.Sum, c.Min, c.Max)
 	}
-	alerts := st.Alerts
-	if len(alerts) > alertRingCap {
-		alerts = alerts[len(alerts)-alertRingCap:]
-	}
-	ps.alerts = append([]Alert(nil), alerts...)
+	ps.alerts = slices.Clone(st.Alerts)
 	ps.alertHead = 0
-	// Resume the alert sequence past everything the snapshot carries —
-	// snapshots from before the sequence existed gob-decode AlertSeq as
-	// zero, so fall back to the ring's own high-water mark.
 	ps.alertSeq = st.AlertSeq
-	for _, a := range alerts {
-		if a.Seq > ps.alertSeq {
-			ps.alertSeq = a.Seq
-		}
-	}
 }
 
 // writeSnapshot captures, persists, and compacts: the snapshot file is
@@ -714,6 +727,11 @@ func (ps *plantState) recover() error {
 		st, err := decodeState(payload)
 		if err != nil {
 			return err
+		}
+		// Snapshot ids index the plant loadPlant built from meta.json;
+		// both files were written from one topology, so they encode alike.
+		if !bytes.Equal(topoJSON(st.Topo), topoJSON(ps.topo)) {
+			return fmt.Errorf("%s was written for a different topology than %s", wal.SnapshotName, plantMetaName)
 		}
 		ps.applyState(st)
 		d.snapRev.Store(rev)
@@ -769,37 +787,20 @@ func (ps *plantState) recover() error {
 	return nil
 }
 
-// replayPayload folds one WAL payload through the regular ingest path,
-// dispatching on the leading tag byte: binary ref frames (walRefTag)
-// re-resolve their dictionaries against the current intern tables;
-// everything else is a legacy gob walEntry.
+// replayPayload folds one WAL entry through the regular ingest path: a
+// record frame re-resolves its dictionaries against the current intern
+// tables, job metadata is re-applied.
 func (ps *plantState) replayPayload(p []byte) error {
-	if len(p) > 0 && p[0] == walRefTag {
-		var f wire.Frame
-		if err := wire.DecodeFrame(p[1:], &f); err != nil {
-			return err
-		}
-		refs, rejected, _ := ps.resolveFrame(nil, &f)
-		ps.foldResolved(refs, rejected)
-		return nil
-	}
-	ent, err := decodeEntry(p)
+	f, metas, err := decodeWalEntry(p)
 	if err != nil {
 		return err
 	}
-	ps.replayEntry(ent)
-	return nil
-}
-
-// replayEntry folds one legacy gob WAL entry.
-func (ps *plantState) replayEntry(ent walEntry) {
-	if len(ent.Recs) > 0 {
-		refs, rejected, _ := ps.resolveRecords(nil, ent.Recs)
+	if f != nil {
+		refs, rejected, _ := ps.resolveFrame(nil, f)
 		ps.foldResolved(refs, rejected)
 	}
-	if len(ent.Jobs) > 0 {
-		ps.applyJobMetas(ent.Jobs)
-	}
+	ps.applyJobMetas(metas)
+	return nil
 }
 
 // foldResolved folds re-resolved replay refs shard by shard. A record
@@ -825,7 +826,7 @@ func (ps *plantState) applyJobMetas(metas []JobMeta) {
 	for _, m := range metas {
 		ms := ps.machines[m.Machine]
 		if ms == nil {
-			continue // topology drift in a replayed entry
+			continue // only a replayed entry can name one: handleJobs filters
 		}
 		if ms.setMeta(ps.in.jobs.Intern(m.Job), m) {
 			changed = true
@@ -921,6 +922,60 @@ func (s *Server) persistNewPlant(ps *plantState, topo Topology) (cleanup func(),
 	}
 	ps.startSnapshotLoop(s.opts.SnapshotInterval)
 	return cleanup, nil
+}
+
+var (
+	errShuttingDown = errors.New("server is shutting down")
+	errPlantExists  = errors.New("already registered")
+)
+
+// installState registers a plant rebuilt from a state decodeState
+// returned — the one path behind POST /restore and standby seeding.
+// With a data dir the state is also saved as the plant's baseline
+// snapshot at rev before the plant becomes visible: the fresh WALs are
+// empty, so a restart has nothing else to recover from.
+func (s *Server) installState(st *snapState, rev uint64) error {
+	id := st.Topo.ID
+	st.ShardSeqs = nil // positions in the source server's WALs, not the fresh local ones
+	st.SnapshotRev = rev
+	ps := newPlantState(st.Topo)
+	ps.makeShards(s.opts.Shards, s.opts.QueueDepth)
+	ps.alertThreshold = s.opts.AlertThreshold
+	ps.publish = s.hub.Publish
+	ps.applyState(st)
+	// Encoded before the registry lock so the gob pass doesn't stall
+	// unrelated requests.
+	var baseline []byte
+	if s.opts.DataDir != "" {
+		var err error
+		if baseline, err = encodeState(st); err != nil {
+			return fmt.Errorf("encoding snapshot: %w", err)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed.Load() {
+		return errShuttingDown
+	}
+	if _, exists := s.plants[id]; exists {
+		return fmt.Errorf("plant %q %w", id, errPlantExists)
+	}
+	if s.opts.DataDir != "" {
+		//hod:allow(lockorder) install atomicity: the exists-check, plant-dir creation and baseline snapshot must be one critical section or a concurrent register of the same ID could interleave
+		cleanup, err := s.persistNewPlant(ps, st.Topo)
+		if err != nil {
+			return fmt.Errorf("persisting plant: %w", err)
+		}
+		//hod:allow(lockorder) same install critical section: the baseline must be durable before the plant becomes visible
+		if err := wal.SaveSnapshot(ps.dur.dir, rev, baseline); err != nil {
+			cleanup()
+			return fmt.Errorf("persisting snapshot: %w", err)
+		}
+		ps.dur.snapRev.Store(rev)
+	}
+	ps.spawn()
+	s.plants[id] = ps
+	return nil
 }
 
 // loadPlant recovers one persisted plant directory into the registry.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -408,52 +407,10 @@ func TestClientBackupRestoreViaSDK(t *testing.T) {
 }
 
 // TestRestoreValidatesJobVectors: a backup must not smuggle oversized
-// or non-finite job vectors past the gate handleJobs enforces with 400.
+// or non-finite job vectors past the gate handleJobs enforces with 400
+// — nor, now that a backup holds the ids its stores are indexed with,
+// an id outside the dictionaries it carries, a job stored or named
+// twice, or a job name ingest would have refused.
 func TestRestoreValidatesJobVectors(t *testing.T) {
-	topo := topoWithDefaults(Topology{ID: "bad", Lines: []TopoLine{{ID: "l", Machines: []string{"l/m1"}}}})
-	forge := func(mutate func(*snapJob)) []byte {
-		sj := snapJob{Setup: make([]float64, topo.SetupDims), CAQ: make([]float64, topo.CAQDims), HasMeta: true,
-			Phases: map[string]map[string][]float64{}}
-		mutate(&sj)
-		st := &snapState{Topo: topo, Machines: map[string]snapMachine{
-			"l/m1": {Rev: 1, Jobs: map[string]snapJob{"j1": sj}},
-		}}
-		payload, err := encodeState(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return wal.EncodeSnapshot(1, payload)
-	}
-
-	srv := New(Options{})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	for name, mutate := range map[string]func(*snapJob){
-		"oversized setup": func(sj *snapJob) { sj.Setup = append(sj.Setup, 1) },
-		"oversized caq":   func(sj *snapJob) { sj.CAQ = append(sj.CAQ, 1) },
-		"nan setup":       func(sj *snapJob) { sj.Setup[0] = math.NaN() },
-	} {
-		resp, err := http.Post(ts.URL+"/v1/plants/bad/restore", "application/octet-stream", bytes.NewReader(forge(mutate)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body := mustStatus(t, resp, http.StatusBadRequest)
-		var env struct {
-			Err struct {
-				Code string `json:"code"`
-			} `json:"error"`
-		}
-		if err := json.Unmarshal(body, &env); err != nil || env.Err.Code != "vector_dims" {
-			t.Fatalf("%s: error %s", name, body)
-		}
-	}
-	// A clean forged backup restores fine.
-	resp, err := http.Post(ts.URL+"/v1/plants/bad/restore", "application/octet-stream",
-		bytes.NewReader(forge(func(*snapJob) {})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustStatus(t, resp, http.StatusCreated)
+	restoreForged(t, forgedStoreCases)
 }

@@ -18,17 +18,18 @@ import (
 	"repro/pkg/hod/wire"
 )
 
-// rollKey addresses one leaf of the roll-up tree: the accumulator of
-// one sensor within one phase of one machine. Shards keep their own
-// leaf maps; queries merge them (stats.Online.Merge) and then fold the
-// merged leaves up the sensor→phase→machine→line→plant levels.
+// rollKey names one leaf of the roll-up tree — the accumulator of one
+// sensor within one phase of one machine — plus the line the machine
+// sits on. Shards keep their own leaf maps; queries merge them
+// (stats.Online.Merge) and then fold the merged leaves up the
+// sensor→phase→machine→line→plant levels.
 type rollKey struct {
-	machine, phase, sensor string
+	line, machine, phase, sensor string
 }
 
 // rollRef is the interned form of rollKey the fold path keys the shard
-// maps with — int comparisons and no per-record string hashing; ids
-// translate back to rollKey at the query/snapshot boundary.
+// maps with and snapshots store — int comparisons and no per-record
+// string hashing; ids translate back to rollKey only to answer /rollup.
 type rollRef struct {
 	machine, phase, sensor int32
 }
@@ -95,8 +96,7 @@ type Alert = wire.Alert
 // ingest on the write side, an incrementally maintained plant snapshot
 // plus hierarchy/report caches on the read side.
 type plantState struct {
-	topo        Topology
-	machineLine map[string]string
+	topo Topology
 
 	// in is the interned identifier universe assigned at registration
 	// (plus the growable job table); mstores mirrors machines by
@@ -161,7 +161,6 @@ const alertRingCap = 512
 func newPlantState(topo Topology) *plantState {
 	ps := &plantState{
 		topo:         topo,
-		machineLine:  make(map[string]string),
 		in:           newPlantInterns(topo),
 		machines:     make(map[string]*machineStore),
 		env:          newEnvStore(len(topo.EnvSensors)),
@@ -171,15 +170,10 @@ func newPlantState(topo Topology) *plantState {
 		reports:      make(map[reportKey]*core.Report),
 	}
 	ps.mstores = make([]*machineStore, ps.in.machines.Len())
-	for _, l := range topo.Lines {
-		for _, m := range l.Machines {
-			ps.machineLine[m] = l.ID
-			ms := newMachineStore(len(topo.Phases), len(topo.Sensors))
-			ps.machines[m] = ms
-			if id, ok := ps.in.machines.ID(m); ok {
-				ps.mstores[id] = ms
-			}
-		}
+	for id, m := range ps.in.machines.Names() {
+		ms := newMachineStore(len(topo.Phases), len(topo.Sensors))
+		ps.machines[m] = ms
+		ps.mstores[id] = ms
 	}
 	return ps
 }
@@ -326,7 +320,7 @@ func (ps *plantState) foldRefs(sh *shard, refs []recordRef) {
 			continue
 		}
 		ms := ps.mstores[ref.machine]
-		fresh, changed := ms.setRef(ref, ps.in.jobs)
+		fresh, changed := ms.setRef(ref)
 		wrote = wrote || changed // corrections must reach the next snapshot
 		if !fresh {
 			// Idempotent replay of an already-seen cell: the store
@@ -503,7 +497,7 @@ func (ps *plantState) snapshot() error {
 				line.Machines = append(line.Machines, prev)
 				continue
 			}
-			m, rev, err := buildMachine(ps.topo, tl.ID, mID, st)
+			m, rev, err := buildMachine(ps.topo, tl.ID, mID, st, ps.in.jobs)
 			if err != nil {
 				return err
 			}
@@ -606,7 +600,7 @@ func (ps *plantState) activeMachines() []string {
 // order would otherwise leak last-ulp jitter into responses (and break
 // the byte-identical crash-recovery contract).
 func (ps *plantState) rollup(level string) (string, []RollupNode, error) {
-	resolved, keyFn, err := rollupKeyFn(level, ps.topo.ID, ps.machineLine)
+	resolved, keyFn, err := rollupKeyFn(level, ps.topo.ID)
 	if err != nil {
 		return "", nil, err
 	}
@@ -656,9 +650,10 @@ func (ps *plantState) rollup(level string) (string, []RollupNode, error) {
 }
 
 // rollKeyOf translates an interned leaf key back to its string form —
-// the query/snapshot boundary where ids stop and names resume.
+// the query boundary where ids stop and names resume.
 func (ps *plantState) rollKeyOf(k rollRef) rollKey {
 	return rollKey{
+		line:    ps.in.lines.Name(ps.in.machineLine[k.machine]),
 		machine: ps.in.machines.Name(k.machine),
 		phase:   ps.in.phases.Name(k.phase),
 		sensor:  ps.in.sensors.Name(k.sensor),
@@ -671,7 +666,7 @@ type RollupNode = wire.RollupNode
 
 // rollupKeyFn resolves a requested level name (empty = plant) into the
 // canonical level it computes plus the leaf-grouping function.
-func rollupKeyFn(level, plantID string, machineLine map[string]string) (string, func(rollKey) string, error) {
+func rollupKeyFn(level, plantID string) (string, func(rollKey) string, error) {
 	switch level {
 	case "sensor":
 		return level, func(k rollKey) string { return k.machine + "/" + k.phase + "/" + k.sensor }, nil
@@ -680,7 +675,7 @@ func rollupKeyFn(level, plantID string, machineLine map[string]string) (string, 
 	case "machine":
 		return level, func(k rollKey) string { return k.machine }, nil
 	case "line":
-		return level, func(k rollKey) string { return machineLine[k.machine] }, nil
+		return level, func(k rollKey) string { return k.line }, nil
 	case "plant", "":
 		return "plant", func(rollKey) string { return plantID }, nil
 	default:

@@ -5,21 +5,22 @@ import (
 	"math"
 
 	"repro/internal/intern"
-	"repro/internal/olap"
 	"repro/pkg/hod/wire"
 )
 
 // The ingest hot path runs on interned identifiers: every topology
 // name (line, machine, phase, sensor, environment sensor) gets an
-// int32 id at registration, and job ids — the one namespace that
-// arrives with the data — are interned on first sight. A validated
-// record travels from admission through the WAL, the shard queues, the
-// idempotent store, the roll-up leaves, and the OLAP cube as a
-// recordRef of ids; strings are resolved exactly once per batch at
-// admission and translated back only at the query/snapshot/alert
-// boundary. Job-id assignment may differ between runs (shards intern
-// concurrently) — that is safe precisely because ids never appear in
-// responses or durable frames, which all carry names.
+// int32 id at registration — its position in the topology — and job
+// ids, the one namespace that arrives with the data, are interned on
+// first sight. A validated record travels from admission through the
+// shard queues, the idempotent store, the roll-up leaves and the OLAP
+// cube as a recordRef of ids; strings are resolved exactly once per
+// batch at admission and translated back only to answer a query or
+// raise an alert. Job-id assignment may differ between runs (shards
+// intern concurrently). That is safe because an id never travels
+// without the dictionary that defines it: responses carry names, a WAL
+// frame carries its own dictionaries, and a snapshot carries the
+// topology and the job table its ids index.
 
 // recordRef is one admitted record in interned form. machine == -1
 // marks an environment record, whose sensor indexes the environment
@@ -237,15 +238,6 @@ func (ps *plantState) resolveFrame(dst []recordRef, f *wire.Frame) ([]recordRef,
 		dst = append(dst, recordRef{machine: mid, job: jobIDs[ji], phase: pid, sensor: sid, t: t, value: v})
 	}
 	return dst, rejected, firstErr
-}
-
-// cubeCoordOf translates an interned cube coordinate back to its
-// string form for snapshots.
-func (ps *plantState) cubeCoordOf(c olap.IntCoord) []string {
-	return []string{
-		ps.in.lines.Name(c[0]), ps.in.machines.Name(c[1]), ps.in.jobs.Name(c[2]),
-		ps.in.phases.Name(c[3]), ps.in.sensors.Name(c[4]),
-	}
 }
 
 // chunkRefs partitions resolved refs onto the shard pipelines using

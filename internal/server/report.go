@@ -63,12 +63,12 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request, ps *plantS
 		machines = []string{machineFilter}
 	}
 	var missing []string
-	for m := range ps.machineLine {
+	for _, m := range ps.in.machines.Names() {
 		if _, err := ps.assembled.MachineByID(m); err != nil {
 			missing = append(missing, m)
 		}
 	}
-	sort.Strings(missing) // map iteration order must not leak into responses
+	sort.Strings(missing) // the response lists them by name, not registration order
 
 	reports, err := ps.reportsFor(machines, level, s.opts)
 	if err != nil {

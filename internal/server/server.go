@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"mime"
 	"net"
 	"net/http"
@@ -47,7 +46,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/gateway"
-	"repro/internal/olap"
 	"repro/internal/wal"
 	"repro/pkg/hod/wire"
 )
@@ -427,39 +425,35 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request, ps *plantSta
 				m.Job, ps.topo.SetupDims, ps.topo.CAQDims))
 			return
 		}
-		for _, v := range m.Setup {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				writeErr(w, http.StatusBadRequest, wire.CodeBadRequest,
-					fmt.Sprintf("job %s: non-finite setup value", m.Job))
-				return
-			}
-		}
-		for _, v := range m.CAQ {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				writeErr(w, http.StatusBadRequest, wire.CodeBadRequest,
-					fmt.Sprintf("job %s: non-finite caq value", m.Job))
-				return
-			}
+		if !finite(m.Setup...) || !finite(m.CAQ...) {
+			writeErr(w, http.StatusBadRequest, wire.CodeBadRequest,
+				fmt.Sprintf("job %s: non-finite setup/caq value", m.Job))
+			return
 		}
 	}
 	rejected := 0
 	var firstErr string
 	valid := metas[:0]
 	for _, m := range metas {
+		var err error
 		switch {
 		case ps.machines[m.Machine] == nil:
-			rejected++
-			if firstErr == "" {
-				firstErr = fmt.Sprintf("unregistered machine %q", m.Machine)
-			}
+			err = fmt.Errorf("unregistered machine %q", m.Machine)
 		case m.Job == "":
+			err = fmt.Errorf("missing job id")
+		default:
+			// The ingest gate (resolveRecord): the name is interned into
+			// the job table, and every snapshot of that table must reload.
+			err = wire.ValidIdent("job", m.Job)
+		}
+		if err != nil {
 			rejected++
 			if firstErr == "" {
-				firstErr = "missing job id"
+				firstErr = err.Error()
 			}
-		default:
-			valid = append(valid, m)
+			continue
 		}
+		valid = append(valid, m)
 	}
 	ps.applyJobMetas(valid)
 	if err := ps.appendJobs(valid); err != nil {
@@ -550,7 +544,14 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := decodeState(payload)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, wire.CodeBadRequest, "decoding backup state: "+err.Error())
+		// Oversized and non-finite job vectors keep the code the ingest
+		// path rejects them with; everything else a backup can get wrong
+		// is a plain bad request.
+		code := wire.CodeBadRequest
+		if errors.Is(err, errJobVector) {
+			code = wire.CodeVectorDims
+		}
+		writeErr(w, http.StatusBadRequest, code, "decoding backup state: "+err.Error())
 		return
 	}
 	id := r.PathValue("id")
@@ -559,80 +560,34 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("backup holds plant %q, not %q", st.Topo.ID, id))
 		return
 	}
-	if err := st.Topo.Validate(); err != nil {
-		writeErr(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
-		return
+	switch err := s.installState(st, rev); {
+	case errors.Is(err, errShuttingDown):
+		writeErr(w, http.StatusServiceUnavailable, wire.CodeShuttingDown, err.Error())
+	case errors.Is(err, errPlantExists):
+		writeErr(w, http.StatusConflict, wire.CodeAlreadyRegistered, err.Error()+"; restore needs a fresh id")
+	case err != nil:
+		writeErr(w, http.StatusInternalServerError, wire.CodeInternal, err.Error())
+	default:
+		writeJSON(w, http.StatusCreated, wire.RestoreAck{
+			ID: id, Machines: len(st.Machines), Records: st.Received, SnapshotRev: rev,
+		})
 	}
-	if err := validateState(st); err != nil {
-		// The ingest path rejects oversized and non-finite job vectors
-		// with 400; a backup must not smuggle them past the same gate.
-		// Malformed or non-finite cube cells are the cube-fed flavour
-		// of the same policy and carry the generic bad_request code.
-		code := wire.CodeVectorDims
-		if errors.Is(err, olap.ErrNonFinite) || errors.Is(err, olap.ErrSchema) {
-			code = wire.CodeBadRequest
-		}
-		writeErr(w, http.StatusBadRequest, code, err.Error())
-		return
-	}
-	st.ShardSeqs = nil // positions of the source server's WALs, if any
-	// The rebased snapshot the data dir will hold; encoded before the
-	// registry lock so the gob pass doesn't stall unrelated requests.
-	st.SnapshotRev = rev
-	rebased, err := encodeState(st)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, wire.CodeInternal, "encoding snapshot: "+err.Error())
-		return
-	}
-
-	s.mu.Lock()
-	if s.closed.Load() {
-		s.mu.Unlock()
-		writeErr(w, http.StatusServiceUnavailable, wire.CodeShuttingDown, "server is shutting down")
-		return
-	}
-	if _, exists := s.plants[id]; exists {
-		s.mu.Unlock()
-		writeErr(w, http.StatusConflict, wire.CodeAlreadyRegistered,
-			fmt.Sprintf("plant %q already registered; restore needs a fresh id", id))
-		return
-	}
-	ps := newPlantState(st.Topo)
-	ps.makeShards(s.opts.Shards, s.opts.QueueDepth)
-	ps.alertThreshold = s.opts.AlertThreshold
-	ps.publish = s.hub.Publish
-	ps.applyState(st)
-	if s.opts.DataDir != "" {
-		//hod:allow(lockorder) restore atomicity: the exists-check and plant-dir creation must be one critical section or a concurrent register of the same ID could interleave
-		cleanup, err := s.persistNewPlant(ps, st.Topo)
-		if err != nil {
-			s.mu.Unlock()
-			writeErr(w, http.StatusInternalServerError, wire.CodeInternal, "persisting plant: "+err.Error())
-			return
-		}
-		// Make the restored baseline itself durable: the fresh WALs are
-		// empty, so everything must come from the snapshot file.
-		//hod:allow(lockorder) same restore critical section: the baseline snapshot must land before the plant becomes visible
-		if err := wal.SaveSnapshot(ps.dur.dir, rev, rebased); err != nil {
-			cleanup()
-			s.mu.Unlock()
-			writeErr(w, http.StatusInternalServerError, wire.CodeInternal, "persisting snapshot: "+err.Error())
-			return
-		}
-		ps.dur.snapRev.Store(rev)
-	}
-	ps.spawn()
-	s.plants[id] = ps
-	s.mu.Unlock()
-	writeJSON(w, http.StatusCreated, wire.RestoreAck{
-		ID: id, Machines: len(st.Machines), Records: st.Received, SnapshotRev: rev,
-	})
 }
 
+// writeJSON answers with v as one JSON line. It encodes before it
+// commits the status: a value encoding/json refuses (a roll-up whose
+// second moment overflowed to +Inf) is a 500 envelope, not a 200 with
+// an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, wire.CodeInternal, "encoding response: "+err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body)
+	_, _ = w.Write([]byte{'\n'})
 }
 
 // writeErr emits the structured error envelope of the v1 protocol:

@@ -777,12 +777,12 @@ func TestCorrectedValueReachesSnapshot(t *testing.T) {
 }
 
 // TestReplaySurvivesUnknownMachine is the successor of the old
-// shard-worker nil-deref regression test: a WAL entry can carry a
-// record for a machine the current topology no longer registers
-// (topology drift in a replayed log). Interning makes the crash
-// structurally impossible — an unresolvable record never becomes a
-// recordRef — but the replay path must still count it as rejected and
-// keep folding the rest of the entry.
+// shard-worker nil-deref regression test: a WAL ref frame can name a
+// machine the replaying plant does not register (a shipped log, a
+// hand-edited meta.json). Interning makes the crash structurally
+// impossible — an unresolvable record never becomes a recordRef — but
+// the replay path must still count it as rejected and keep folding the
+// rest of the entry.
 func TestReplaySurvivesUnknownMachine(t *testing.T) {
 	p, err := plant.Simulate(plant.Config{Seed: 2, Lines: 1, MachinesPerLine: 1, JobsPerMachine: 1, PhaseSamples: 4})
 	if err != nil {
@@ -794,11 +794,18 @@ func TestReplaySurvivesUnknownMachine(t *testing.T) {
 	ps.alertThreshold = 1e9
 	defer ps.close()
 
+	// A WAL ref entry is the tag plus a frame without its length prefix.
+	replay := func(recs []Record) {
+		t.Helper()
+		if err := ps.replayPayload(append([]byte{walRefTag}, binaryBody(t, recs)[4:]...)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	m := p.Machines()[0]
-	ps.replayEntry(walEntry{Recs: []Record{
+	replay([]Record{
 		{Machine: "ghost", Job: "j", Phase: "print", Sensor: "temp-a", T: 0, Value: 1},
 		{Machine: m.ID, Job: m.Jobs[0].ID, Phase: "print", Sensor: "temp-a", T: 0, Value: 1},
-	}})
+	})
 	if got := ps.rejected.Load(); got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
 	}
@@ -809,11 +816,52 @@ func TestReplaySurvivesUnknownMachine(t *testing.T) {
 		t.Fatalf("accepted = %d, want 1", got)
 	}
 	// Replay keeps folding after the drift: a second entry lands too.
-	ps.replayEntry(walEntry{Recs: []Record{
+	replay([]Record{
 		{Machine: m.ID, Job: m.Jobs[0].ID, Phase: "print", Sensor: "temp-a", T: 1, Value: 2},
-	}})
+	})
 	if got := ps.accepted.Load(); got != 2 {
 		t.Fatalf("accepted = %d, want 2", got)
+	}
+}
+
+// TestRollupUnencodableAnswersEnvelope: two admitted, finite samples
+// (1e200 and -1e200 in one leaf) take the leaf's second moment to +Inf,
+// which encoding/json refuses. The response must still be JSON — the
+// internal-error envelope — not a 200 whose body the encoder abandoned
+// after the header went out.
+func TestRollupUnencodableAnswersEnvelope(t *testing.T) {
+	srv := New(Options{Shards: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	register(t, ts.URL, binaryTestTopo())
+	recs := []Record{
+		{Machine: "m0", Job: "j", Phase: "heat", Sensor: "temp", T: 0, Value: 1e200},
+		{Machine: "m0", Job: "j", Phase: "heat", Sensor: "temp", T: 1, Value: -1e200},
+	}
+	mustStatus(t, postRetry(t, ts.URL+"/v1/plants/plant-intern/ingest", "application/x-ndjson", ndjson(recs)), http.StatusAccepted)
+	waitDrained(t, ts.URL, "plant-intern", 2)
+
+	resp, err := http.Get(ts.URL + "/v1/plants/plant-intern/rollup?level=plant")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env wire.ErrorEnvelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatalf("status %d with a body that is not JSON (%q): %v", resp.StatusCode, body, err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || env.Err.Code != wire.CodeInternal {
+		t.Fatalf("status %d body %s, want the 500 internal envelope", resp.StatusCode, body)
+	}
+	// The plant keeps serving what does encode.
+	var cr wire.CubeResponse
+	if err := json.Unmarshal(getBody(t, ts.URL+"/v1/plants/plant-intern/cube"), &cr); err != nil || len(cr.Cells) != 1 {
+		t.Fatalf("cube after the poisoned roll-up: %+v, %v", cr, err)
 	}
 }
 

@@ -79,52 +79,36 @@ type jobStore struct {
 	phases     []*cellGrid // phase id → grid, nil until touched
 }
 
-// machineStore buffers one machine's ingested data. Exactly one shard
-// worker writes it (machines hash onto shards), the lock exists for
-// the report-side snapshot reads. Jobs are reachable two ways over the
-// same jobStore pointers: by name for the read/snapshot side and by
-// interned id for the fold path.
+// machineStore buffers one machine's ingested data, jobs keyed by
+// interned job id. Exactly one shard worker writes it (machines hash
+// onto shards); the lock exists for the report-side and snapshot reads.
 type machineStore struct {
 	mu                sync.Mutex
 	rev               uint64
 	nPhases, nSensors int
-	jobs              map[string]*jobStore
 	jobsByID          map[int32]*jobStore
 }
 
 func newMachineStore(nPhases, nSensors int) *machineStore {
-	return &machineStore{
-		nPhases: nPhases, nSensors: nSensors,
-		jobs:     make(map[string]*jobStore),
-		jobsByID: make(map[int32]*jobStore),
-	}
+	return &machineStore{nPhases: nPhases, nSensors: nSensors, jobsByID: make(map[int32]*jobStore)}
 }
 
 // job returns (creating if needed) the store of one job. Callers must
-// hold mu and pass the interned id with its name.
-func (ms *machineStore) job(id int32, name string) *jobStore {
+// hold mu.
+func (ms *machineStore) job(id int32) *jobStore {
 	j, ok := ms.jobsByID[id]
 	if !ok {
-		// The name map can already hold the job when a legacy snapshot
-		// was applied before its id existed; re-link rather than fork.
-		if j, ok = ms.jobs[name]; !ok {
-			j = &jobStore{phases: make([]*cellGrid, ms.nPhases)}
-			ms.jobs[name] = j
-		}
+		j = &jobStore{phases: make([]*cellGrid, ms.nPhases)}
 		ms.jobsByID[id] = j
 	}
 	return j
 }
 
-// setRef folds one interned machine record. jobs resolves the job name
-// on the one-time create path.
-func (ms *machineStore) setRef(ref recordRef, jobs *intern.DynTable) (fresh, changed bool) {
+// setRef folds one interned machine record.
+func (ms *machineStore) setRef(ref recordRef) (fresh, changed bool) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	j, ok := ms.jobsByID[ref.job]
-	if !ok {
-		j = ms.job(ref.job, jobs.Name(ref.job))
-	}
+	j := ms.job(ref.job)
 	g := j.phases[ref.phase]
 	if g == nil {
 		g = &cellGrid{bufs: make([][]float64, ms.nSensors)}
@@ -144,7 +128,7 @@ func (ms *machineStore) setRef(ref recordRef, jobs *intern.DynTable) (fresh, cha
 func (ms *machineStore) setMeta(id int32, m JobMeta) (changed bool) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	j := ms.job(id, m.Job)
+	j := ms.job(id)
 	if j.hasMeta && j.faulty == m.Faulty && slices.Equal(j.setup, m.Setup) && slices.Equal(j.caq, m.CAQ) {
 		return false
 	}
@@ -191,25 +175,29 @@ func (es *envStore) set(sensor int32, t int, v float64) (fresh, changed bool) {
 var assemblyStart = time.Date(2026, 6, 1, 6, 0, 0, 0, time.UTC)
 
 // buildMachine materialises one machine's plant view from its store:
-// jobs in ID order, phases in schedule order, sensors in registered
-// order, NaN holes linearly interpolated. Returns nil when the machine
-// has no complete phase yet.
-func buildMachine(topo Topology, lineID, machineID string, ms *machineStore) (*plant.Machine, uint64, error) {
+// jobs in job-name order (names from the plant's job table), phases in
+// schedule order, sensors in registered order, NaN holes linearly
+// interpolated. Returns nil when the machine has no complete phase yet.
+func buildMachine(topo Topology, lineID, machineID string, ms *machineStore, jobNames *intern.DynTable) (*plant.Machine, uint64, error) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	if len(ms.jobs) == 0 {
+	if len(ms.jobsByID) == 0 {
 		return nil, ms.rev, nil
 	}
-	jobIDs := make([]string, 0, len(ms.jobs))
-	for id := range ms.jobs {
-		jobIDs = append(jobIDs, id)
+	type namedJob struct {
+		name string
+		js   *jobStore
 	}
-	sort.Strings(jobIDs)
+	jobs := make([]namedJob, 0, len(ms.jobsByID))
+	for id, js := range ms.jobsByID {
+		jobs = append(jobs, namedJob{jobNames.Name(id), js})
+	}
+	sort.Slice(jobs, func(i, j int) bool { return jobs[i].name < jobs[j].name })
 
 	m := &plant.Machine{ID: machineID, Line: lineID}
 	offset := 0
-	for _, jobID := range jobIDs {
-		js := ms.jobs[jobID]
+	for _, nj := range jobs {
+		jobID, js := nj.name, nj.js
 		job := &plant.Job{
 			ID:      jobID,
 			Machine: machineID,

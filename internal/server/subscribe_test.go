@@ -305,6 +305,7 @@ func TestConcurrentSubscribersDuringIngest(t *testing.T) {
 		err    error
 	}
 	results := make([]result, nSubs)
+	var mu sync.Mutex // the catch-up poll below reads results while the readers append
 	var wg sync.WaitGroup
 	for i, sub := range subs {
 		wg.Add(1)
@@ -318,6 +319,7 @@ func TestConcurrentSubscribersDuringIngest(t *testing.T) {
 					}
 					return
 				}
+				mu.Lock()
 				switch ev.Kind {
 				case wire.EventAlert:
 					results[i].alerts = append(results[i].alerts, ev.Alerts...)
@@ -326,6 +328,7 @@ func TestConcurrentSubscribersDuringIngest(t *testing.T) {
 				case wire.EventCubeDelta:
 					results[i].cubes++
 				}
+				mu.Unlock()
 			}
 		}(i, sub)
 	}
@@ -341,6 +344,7 @@ func TestConcurrentSubscribersDuringIngest(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		behind := false
+		mu.Lock()
 		for i := range results {
 			if i%3 == 2 {
 				continue // no alert channel
@@ -349,6 +353,7 @@ func TestConcurrentSubscribersDuringIngest(t *testing.T) {
 				behind = true
 			}
 		}
+		mu.Unlock()
 		if !behind || time.Now().After(deadline) {
 			break
 		}
