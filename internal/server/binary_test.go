@@ -230,7 +230,7 @@ func binaryTestRecords() []Record {
 
 // foldPlant resolves and folds records straight through the shard fold
 // path (no workers), the way WAL replay does.
-func foldPlant(t *testing.T, ps *plantState, recs []Record) {
+func foldPlant(t testing.TB, ps *plantState, recs []Record) {
 	t.Helper()
 	refs, rejected, firstErr := ps.resolveRecords(nil, recs)
 	if rejected > 0 {
@@ -288,9 +288,8 @@ func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("resolveRecords allocates %v per run on interned identifiers, want 0", n)
 	}
 
-	sh := ps.shards[0]
 	if n := testing.AllocsPerRun(1000, func() {
-		ps.foldRefs(sh, refs)
+		ps.foldRefs(refs)
 	}); n != 0 {
 		t.Fatalf("foldRefs allocates %v per run on an idempotent replay, want 0", n)
 	}

@@ -9,23 +9,24 @@ import (
 
 // The serving layer maintains one OLAP cube per plant over the machine
 // sensor stream — dimensions line × machine × job × phase × sensor,
-// one fact per first-seen sample — updated incrementally inside the
-// per-shard fold path (foldRefs, under foldMu/rollMu). Because the
-// cube is folded exactly where the roll-up leaves are, it rides the
+// one fact per first-seen sample. A coordinate names exactly one sample
+// buffer of the per-machine store, so the cells live there, beside the
+// buffers (cellGrid.cells), and are folded where the samples are
+// (foldRefs, under the machine's mutex). The cube therefore rides the
 // WAL + snapshot recovery contract for free: replayed batches rebuild
 // it through the same path, and captureState/applyState carry its
-// cells across restarts, backups, and restores.
+// cells with the jobs they belong to.
 
 // cubeDims are the fixed dimensions of the per-plant serving cube —
 // the wire package owns the list, shared with the SDK's batch builder.
 var cubeDims = wire.CubeDims()
 
-// cubeView is the plant's cube as the evaluator sees it: the shard
-// cubes behind their rollMu, with the plant's intern tables as the
-// dictionary. Machines hash onto exactly one shard, so shard cubes
-// never hold the same coordinate. Only the cells a question matches are
-// copied out under a shard's lock; ordering, grouping and translating
-// ids back to names happen outside it, on the copies.
+// cubeView is the plant's cube as the evaluator sees it: one walk of
+// the machine stores — jobs, grids, cells — each store behind its
+// mutex, with the plant's intern tables as the dictionary. Only the
+// cells a question matches are copied out under a store's lock;
+// ordering, grouping and translating ids back to names happen outside
+// it, on the copies.
 func (ps *plantState) cubeView() olap.View {
 	in := ps.in
 	return olap.View{
@@ -33,13 +34,33 @@ func (ps *plantState) cubeView() olap.View {
 		Dict: []olap.Dim{in.lines, in.machines, in.jobs, in.phases, in.sensors},
 		Scan: func(visit func(*olap.IntCell)) int {
 			total := 0
-			for _, sh := range ps.shards {
-				sh.rollMu.Lock()
-				total += sh.cube.Scan(visit)
-				sh.rollMu.Unlock()
+			for _, ms := range ps.mstores {
+				ms.mu.Lock()
+				total += ms.nCells
+				if visit != nil {
+					ms.eachCell(visit)
+				}
+				ms.mu.Unlock()
 			}
 			return total
 		},
+	}
+}
+
+// eachCell visits the machine's cube cells, jobs in map order. Callers
+// must hold mu.
+func (ms *machineStore) eachCell(visit func(*olap.IntCell)) {
+	for _, js := range ms.jobsByID {
+		for _, g := range js.phases {
+			if g == nil {
+				continue
+			}
+			for s := range g.cells {
+				if g.cells[s].Count > 0 {
+					visit(&g.cells[s])
+				}
+			}
+		}
 	}
 }
 

@@ -338,15 +338,15 @@ func TestCubeSkipsNonFiniteRecords(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsMalformedCubeCells: a forged backup cannot smuggle
-// a malformed cube cell past the gate — non-finite aggregates, empty
-// cells, a coordinate outside its dictionary in any dimension, and a
-// cell stored twice are all refused with the generic bad_request code
-// (the cube-fed flavour of the non-finite 400 policy), never silently
-// dropped by applyState. A member carrying the cube's reserved
-// separator can only enter through the job table; the job-name cases of
-// TestRestoreValidatesJobVectors cover it.
-func TestRestoreRejectsMalformedCubeCells(t *testing.T) {
+// TestRestoreRejectsMalformedCells: a forged backup cannot smuggle a
+// malformed cube cell past the gate — cells where applyState will have
+// built no grid (beyond the sensor series, or beside a phase without
+// samples), a negative count, a non-finite aggregate — all refused with
+// the generic bad_request code, never silently dropped by applyState.
+// A cell carries no coordinate of its own: its machine, job, phase and
+// sensor are where it sits, vetted with the store
+// (TestRestoreValidatesJobVectors).
+func TestRestoreRejectsMalformedCells(t *testing.T) {
 	restoreForged(t, forgedCubeCases)
 }
 

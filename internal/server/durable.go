@@ -30,18 +30,20 @@ import (
 // restarts. Every accepted shard chunk is appended to a per-shard
 // segmented WAL (internal/wal) before it is enqueued, and a background
 // loop periodically snapshots the whole serving state of a plant —
-// stores, roll-up leaves, alert ring, trackers, counters — compacting
-// WAL segments the snapshot covers. On startup the state is rebuilt by
-// applying the snapshot and replaying the WAL tail through the regular
-// fold path; the idempotent set-at-index store makes over-replay
-// harmless, so the recovery boundary only has to be conservative.
+// the stores (samples, roll-up leaves, trackers, cube cells), the alert
+// ring, the counters — compacting WAL segments the snapshot covers. On
+// startup the state is rebuilt by applying the snapshot and replaying
+// the WAL tail through the regular fold path; the idempotent
+// set-at-index store makes over-replay harmless, so the recovery
+// boundary only has to be conservative.
 //
 // Both durable forms are interned state next to the dictionaries that
 // define its ids. A WAL frame carries its own (machines, phases,
 // sensors, jobs) dictionaries and resolves against whatever plant
 // replays it; a snapshot carries the topology and the job table and is
 // only ever applied to a plant built from that same topology, so its
-// ids index the store directly.
+// positions index the store directly — it mirrors the store, machine by
+// machine, and holds nothing per shard but the WAL positions.
 
 // A WAL payload is one tagged entry: a shard chunk of admitted records
 // as a wire.Frame (without its length prefix — the WAL already frames
@@ -143,27 +145,27 @@ func (ps *plantState) appendRefFrame(dst []byte, f *wire.Frame, refs []recordRef
 // Snapshot payload: the full serving state of one plant, captured at a
 // shard batch boundary, in the shape the store holds it. Topo (in
 // registration order) and JobInterns are the dictionaries; every other
-// identifier is an id into them, and every id-indexed slice may stop
-// short of its dictionary. ShardSeqs pins the WAL position the capture
-// covers per shard — replay starts after it, compaction ends at it.
+// identifier is a position in an id-indexed slice, and every such slice
+// may stop short of its dictionary. Nothing in it is per shard except
+// ShardSeqs, which pins the WAL position the capture covers per shard —
+// replay starts after it, compaction ends at it.
 type (
+	snapCell struct { // one cube cell; Count 0 where no fact landed
+		Count         int
+		Sum, Min, Max float64
+	}
 	snapJob struct {
 		Job             int32 // index into JobInterns
 		Setup, CAQ      []float64
 		Faulty, HasMeta bool
 		Phases          [][][]float64 // phase id → sensor id → samples; an untouched phase is empty
+		Cells           [][]snapCell  // phase id → sensor id → cube cell; only phases holding samples have any
 	}
 	snapMachine struct {
-		Rev  uint64
-		Jobs []snapJob // ascending Job
-	}
-	snapLeaf struct {
-		Machine, Phase, Sensor int32
-		Roll                   stats.OnlineState
-	}
-	snapTracker struct {
-		Machine, Sensor int32
-		EWMA            stats.EWMAState
+		Rev      uint64
+		Jobs     []snapJob           // ascending Job
+		Leaves   []stats.OnlineState // phase id*len(Topo.Sensors) + sensor id
+		Trackers []stats.EWMAState   // sensor id
 	}
 	snapState struct {
 		Topo       wire.Topology
@@ -175,12 +177,6 @@ type (
 
 		DataRev, Accepted, Received, Rejected, Shed uint64
 
-		// Ascending by id tuple, so equal states encode to equal bytes
-		// whatever order the shard maps iterated in.
-		Leaves    []snapLeaf
-		Trackers  []snapTracker
-		CubeCells []olap.IntCell // Coord: line, machine, job, phase, sensor
-
 		Alerts   []wire.Alert // oldest first
 		AlertSeq uint64       // plant-wide alert sequence high-water mark
 
@@ -191,21 +187,13 @@ type (
 
 func cmpJob(a, b snapJob) int { return cmp.Compare(a.Job, b.Job) }
 
-func cmpLeaf(a, b snapLeaf) int {
-	return cmp.Or(cmp.Compare(a.Machine, b.Machine), cmp.Compare(a.Phase, b.Phase), cmp.Compare(a.Sensor, b.Sensor))
-}
-
-func cmpTracker(a, b snapTracker) int {
-	return cmp.Or(cmp.Compare(a.Machine, b.Machine), cmp.Compare(a.Sensor, b.Sensor))
-}
-
-func cmpCell(a, b olap.IntCell) int { return slices.Compare(a.Coord[:], b.Coord[:]) }
-
 // snapFormat leads every snapshot payload; the gob of snapState follows.
-// A payload with any other first byte — the untagged, name-keyed gob of
-// earlier versions starts with gob's own length prefix — is refused
-// with errSnapFormat instead of decoding into an empty plant.
-const snapFormat = 1
+// A payload with any other first byte — format 1 held leaves, trackers
+// and cube cells in keyed lists snapState has no field for; the untagged
+// gob before it starts with gob's own length prefix — is refused with
+// errSnapFormat instead of decoding into a plant that silently lacks
+// them.
+const snapFormat = 2
 
 var (
 	errSnapFormat = errors.New("unsupported snapshot format")
@@ -269,14 +257,14 @@ func finite(vs ...float64) bool {
 
 // validateState holds a decoded snapshot to what the live paths
 // guarantee of the state they build, so applyState can index with its
-// ids and re-add its cube cells without a failure branch: a valid
-// topology; unique, well-formed job names; every id inside its
-// dictionary and every id-indexed slice no longer than it; job vectors
-// within the topology dims and finite (the handleJobs gate — padVector
-// would silently truncate an oversized one, a non-finite one would
-// poison the level-2 detectors); cube cells non-empty and finite (the
-// olap.AddAggregate gate); jobs, leaves, trackers and cells strictly
-// ascending, which is also what makes each of them unique.
+// positions without a failure branch: a valid topology; unique,
+// well-formed job names; every id inside its dictionary and every
+// id-indexed slice no longer than it; job vectors within the topology
+// dims and finite (the handleJobs gate — padVector would silently
+// truncate an oversized one, a non-finite one would poison the level-2
+// detectors); cube cells only beside samples, with a count that is not
+// negative and finite aggregates (the olap.IntCell invariant); jobs
+// strictly ascending, which is also what makes them unique.
 func validateState(st *snapState) error {
 	topo := st.Topo
 	if err := topo.Validate(); err != nil {
@@ -286,9 +274,7 @@ func validateState(st *snapState) error {
 	for _, l := range topo.Lines {
 		machines = append(machines, l.Machines...)
 	}
-	dims := [...]int{len(topo.Lines), len(machines), len(st.JobInterns), len(topo.Phases), len(topo.Sensors)}
-	nMachines, nJobs, nPhases, nSensors := dims[1], dims[2], dims[3], dims[4]
-	in := func(id int32, n int) bool { return id >= 0 && int(id) < n }
+	nMachines, nJobs, nPhases, nSensors := len(machines), len(st.JobInterns), len(topo.Phases), len(topo.Sensors)
 
 	for _, name := range st.JobInterns {
 		if name == "" {
@@ -309,11 +295,15 @@ func validateState(st *snapState) error {
 			len(st.Machines), len(st.Env), nMachines, len(topo.EnvSensors))
 	}
 	for mid, sm := range st.Machines {
+		if len(sm.Leaves) > nPhases*nSensors || len(sm.Trackers) > nSensors {
+			return fmt.Errorf("snapshot: machine %s: %d roll-up leaves and %d trackers, topology has room for %d and %d",
+				machines[mid], len(sm.Leaves), len(sm.Trackers), nPhases*nSensors, nSensors)
+		}
 		if !strictlyAscending(sm.Jobs, cmpJob) {
 			return fmt.Errorf("snapshot: machine %s: jobs not in ascending id order", machines[mid])
 		}
 		for _, sj := range sm.Jobs {
-			if !in(sj.Job, nJobs) {
+			if sj.Job < 0 || int(sj.Job) >= nJobs {
 				return fmt.Errorf("snapshot: machine %s: job id %d outside the job table (%d)", machines[mid], sj.Job, nJobs)
 			}
 			job := st.JobInterns[sj.Job]
@@ -327,36 +317,26 @@ func validateState(st *snapState) error {
 			if len(sj.Phases) > nPhases {
 				return fmt.Errorf("snapshot: machine %s job %s: %d phases, topology has %d", machines[mid], job, len(sj.Phases), nPhases)
 			}
-			for _, cells := range sj.Phases {
-				if len(cells) > nSensors {
-					return fmt.Errorf("snapshot: machine %s job %s: %d sensor series, topology has %d", machines[mid], job, len(cells), nSensors)
+			for _, series := range sj.Phases {
+				if len(series) > nSensors {
+					return fmt.Errorf("snapshot: machine %s job %s: %d sensor series, topology has %d", machines[mid], job, len(series), nSensors)
+				}
+			}
+			if len(sj.Cells) > len(sj.Phases) {
+				return fmt.Errorf("snapshot: machine %s job %s: cube cells for %d phases, samples for %d", machines[mid], job, len(sj.Cells), len(sj.Phases))
+			}
+			for ph, cells := range sj.Cells {
+				if len(cells) > len(sj.Phases[ph]) {
+					return fmt.Errorf("snapshot: machine %s job %s phase %s: %d cube cells beside %d sensor series",
+						machines[mid], job, topo.Phases[ph], len(cells), len(sj.Phases[ph]))
+				}
+				for _, c := range cells {
+					if c.Count < 0 || !finite(c.Sum, c.Min, c.Max) {
+						return fmt.Errorf("snapshot: machine %s job %s phase %s: negative or non-finite cube cell", machines[mid], job, topo.Phases[ph])
+					}
 				}
 			}
 		}
-	}
-
-	for _, lf := range st.Leaves {
-		if !in(lf.Machine, nMachines) || !in(lf.Phase, nPhases) || !in(lf.Sensor, nSensors) {
-			return fmt.Errorf("snapshot: roll-up leaf %d/%d/%d outside the topology", lf.Machine, lf.Phase, lf.Sensor)
-		}
-	}
-	for _, tk := range st.Trackers {
-		if !in(tk.Machine, nMachines) || !in(tk.Sensor, nSensors) {
-			return fmt.Errorf("snapshot: tracker %d/%d outside the topology", tk.Machine, tk.Sensor)
-		}
-	}
-	for _, c := range st.CubeCells {
-		for d, id := range c.Coord {
-			if !in(id, dims[d]) {
-				return fmt.Errorf("snapshot: cube cell %v: %s id outside its dictionary (%d)", c.Coord, cubeDims[d], dims[d])
-			}
-		}
-		if c.Count <= 0 || !finite(c.Sum, c.Min, c.Max) {
-			return fmt.Errorf("snapshot: cube cell %v: empty or non-finite aggregate", c.Coord)
-		}
-	}
-	if !strictlyAscending(st.Leaves, cmpLeaf) || !strictlyAscending(st.Trackers, cmpTracker) || !strictlyAscending(st.CubeCells, cmpCell) {
-		return fmt.Errorf("snapshot: leaves, trackers or cube cells not in ascending id order")
 	}
 
 	if len(st.Alerts) > alertRingCap {
@@ -552,7 +532,8 @@ func (ps *plantState) appendJobs(metas []JobMeta) error {
 // copies the full serving state — the consistent cut that makes
 // snapshot + WAL-tail replay reproduce exactly what an uninterrupted
 // run holds. Two captures of the same state are equal, element for
-// element: what lives in maps is copied out in ascending id order.
+// element: everything is copied out in position order except the jobs,
+// the one map, which are sorted by id.
 func (ps *plantState) captureState() *snapState {
 	for _, sh := range ps.shards {
 		sh.foldMu.Lock()
@@ -579,16 +560,30 @@ func (ps *plantState) captureState() *snapState {
 	}
 	for mid, ms := range ps.mstores {
 		ms.mu.Lock()
-		sm := snapMachine{Rev: ms.rev, Jobs: make([]snapJob, 0, len(ms.jobsByID))}
+		sm := snapMachine{
+			Rev: ms.rev, Jobs: make([]snapJob, 0, len(ms.jobsByID)),
+			Leaves: make([]stats.OnlineState, len(ms.leaves)), Trackers: make([]stats.EWMAState, len(ms.trackers)),
+		}
+		for i := range ms.leaves {
+			sm.Leaves[i] = ms.leaves[i].State()
+		}
+		for i := range ms.trackers {
+			sm.Trackers[i] = ms.trackers[i].State()
+		}
 		for jid, js := range ms.jobsByID {
 			sj := snapJob{
 				Job: jid, Setup: slices.Clone(js.setup), CAQ: slices.Clone(js.caq),
 				Faulty: js.faulty, HasMeta: js.hasMeta,
-				Phases: make([][][]float64, len(js.phases)),
+				Phases: make([][][]float64, len(js.phases)), Cells: make([][]snapCell, len(js.phases)),
 			}
 			for ph, g := range js.phases {
-				if g != nil {
-					sj.Phases[ph] = cloneSeries(g.bufs)
+				if g == nil {
+					continue
+				}
+				sj.Phases[ph] = cloneSeries(g.bufs)
+				sj.Cells[ph] = make([]snapCell, len(g.cells))
+				for s, c := range g.cells {
+					sj.Cells[ph][s] = snapCell{Count: c.Count, Sum: c.Sum, Min: c.Min, Max: c.Max}
 				}
 			}
 			sm.Jobs = append(sm.Jobs, sj)
@@ -601,20 +596,6 @@ func (ps *plantState) captureState() *snapState {
 	st.EnvRev = ps.env.rev
 	st.Env = cloneSeries(ps.env.bufs)
 	ps.env.mu.Unlock()
-	for _, sh := range ps.shards {
-		sh.rollMu.Lock()
-		for k, o := range sh.roll {
-			st.Leaves = append(st.Leaves, snapLeaf{Machine: k.machine, Phase: k.phase, Sensor: k.sensor, Roll: o.State()})
-		}
-		for k, tr := range sh.trackers {
-			st.Trackers = append(st.Trackers, snapTracker{Machine: k.machine, Sensor: k.sensor, EWMA: tr.State()})
-		}
-		sh.cube.Scan(func(cell *olap.IntCell) { st.CubeCells = append(st.CubeCells, *cell) })
-		sh.rollMu.Unlock()
-	}
-	slices.SortFunc(st.Leaves, cmpLeaf)
-	slices.SortFunc(st.Trackers, cmpTracker)
-	slices.SortFunc(st.CubeCells, cmpCell)
 	st.Alerts = ps.recentAlerts(0)
 	ps.alertMu.Lock()
 	st.AlertSeq = ps.alertSeq
@@ -632,24 +613,38 @@ func cloneSeries(bufs [][]float64) [][]float64 {
 
 // applyState loads a state decodeState vetted (or captureState just
 // produced) into a quiescent plantState built from the same topology:
-// shards made, workers not yet spawned. Ids index the stores directly.
-// Roll-up leaves, trackers and cube cells are routed by the *current*
-// machine→shard hash, so a restart with a different shard count still
-// lands them where the worker expects.
+// shards made, workers not yet spawned. Positions index the stores
+// directly, and nothing is routed by machine — no shard holds data, so
+// a restart with a different shard count loads the same way.
 func (ps *plantState) applyState(st *snapState) {
 	ps.in.jobs = intern.NewDyn(st.JobInterns)
 	for mid, sm := range st.Machines {
 		ms := ps.mstores[mid]
 		ms.rev = sm.Rev
+		for i, lf := range sm.Leaves {
+			ms.leaves[i] = stats.OnlineFromState(lf)
+		}
+		for i, tk := range sm.Trackers {
+			ms.trackers[i] = *stats.EWMAFromState(tk)
+		}
 		for _, sj := range sm.Jobs {
 			js := ms.job(sj.Job)
 			js.setup, js.caq = slices.Clone(sj.Setup), slices.Clone(sj.CAQ)
 			js.faulty, js.hasMeta = sj.Faulty, sj.HasMeta
-			for ph, cells := range sj.Phases {
-				if len(cells) > 0 {
-					g := &cellGrid{bufs: make([][]float64, ms.nSensors)}
-					copy(g.bufs, cloneSeries(cells))
-					js.phases[ph] = g
+			for ph, series := range sj.Phases {
+				if len(series) > 0 {
+					copy(ms.grid(js, int32(ph)).bufs, cloneSeries(series))
+				}
+			}
+			for ph, cells := range sj.Cells {
+				for s, c := range cells {
+					if c.Count > 0 { // validateState: a phase with cells has samples, so its grid exists
+						js.phases[ph].cells[s] = olap.IntCell{
+							Coord: olap.IntCoord{ms.line, ms.id, sj.Job, int32(ph), int32(s)},
+							Count: c.Count, Sum: c.Sum, Min: c.Min, Max: c.Max,
+						}
+						ms.nCells++
+					}
 				}
 			}
 		}
@@ -661,19 +656,6 @@ func (ps *plantState) applyState(st *snapState) {
 	ps.received.Store(st.Received)
 	ps.rejected.Store(st.Rejected)
 	ps.shed.Store(st.Shed)
-	for _, lf := range st.Leaves {
-		o := stats.OnlineFromState(lf.Roll)
-		ps.shards[ps.shardOf[lf.Machine]].roll[rollRef{lf.Machine, lf.Phase, lf.Sensor}] = &o
-	}
-	for _, tk := range st.Trackers {
-		ps.shards[ps.shardOf[tk.Machine]].trackers[trackRef{tk.Machine, tk.Sensor}] = stats.EWMAFromState(tk.EWMA)
-	}
-	for _, c := range st.CubeCells {
-		// Coord[1] is the machine. AddAggregate only refuses an empty or
-		// non-finite aggregate, or a merge overflowing an existing cell:
-		// validateState (and the fold path before it) rules out all three.
-		_ = ps.shards[ps.shardOf[c.Coord[1]]].cube.AddAggregate(c.Coord, c.Count, c.Sum, c.Min, c.Max)
-	}
 	ps.alerts = slices.Clone(st.Alerts)
 	ps.alertHead = 0
 	ps.alertSeq = st.AlertSeq
@@ -803,19 +785,15 @@ func (ps *plantState) replayPayload(p []byte) error {
 	return nil
 }
 
-// foldResolved folds re-resolved replay refs shard by shard. A record
-// the current topology no longer resolves — the WAL was written under a
-// different registration — counts as rejected, the same signal the live
-// path gives its client.
+// foldResolved folds re-resolved replay refs. A record the current
+// topology no longer resolves — the WAL was written under a different
+// registration — counts as rejected, the same signal the live path
+// gives its client.
 func (ps *plantState) foldResolved(refs []recordRef, rejected int) {
 	if rejected > 0 {
 		ps.rejected.Add(uint64(rejected))
 	}
-	for idx, chunk := range ps.chunkRefs(refs) {
-		if len(chunk) > 0 {
-			ps.foldRefs(ps.shards[idx], chunk)
-		}
-	}
+	ps.foldRefs(refs)
 }
 
 // applyJobMetas applies already-validated job metadata, advancing the

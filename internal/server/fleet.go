@@ -20,23 +20,11 @@ import (
 
 // rollKey names one leaf of the roll-up tree — the accumulator of one
 // sensor within one phase of one machine — plus the line the machine
-// sits on. Shards keep their own leaf maps; queries merge them
-// (stats.Online.Merge) and then fold the merged leaves up the
-// sensor→phase→machine→line→plant levels.
+// sits on. The leaves live in the machine stores, indexed by interned
+// id; a query names the non-empty ones and folds them up the
+// sensor→phase→machine→line→plant levels (stats.Online.Merge).
 type rollKey struct {
 	line, machine, phase, sensor string
-}
-
-// rollRef is the interned form of rollKey the fold path keys the shard
-// maps with and snapshots store — int comparisons and no per-record
-// string hashing; ids translate back to rollKey only to answer /rollup.
-type rollRef struct {
-	machine, phase, sensor int32
-}
-
-// trackRef keys the per-(machine, sensor) alert trackers.
-type trackRef struct {
-	machine, sensor int32
 }
 
 // shardBatch is one admitted unit of work: the resolved records plus
@@ -47,11 +35,10 @@ type shardBatch struct {
 }
 
 // shard is one ingest pipeline: a bounded queue feeding a single
-// worker goroutine that owns the stores of the machines hashed onto
-// it. Per-machine ordering is therefore free. The roll-up leaves and
-// alert trackers are folded under rollMu (one lock round per fresh
-// record) so the read side — roll-up queries and durability snapshots
-// — can copy them consistently.
+// worker goroutine that folds the machines hashed onto it. Per-machine
+// ordering is therefore free. It holds no data: everything a fold
+// writes lives in the machine stores (and the environment store), each
+// behind its own mutex.
 type shard struct {
 	q *stream.Queue[shardBatch]
 
@@ -62,29 +49,11 @@ type shard struct {
 
 	// foldMu is held by the worker around each batch fold; the
 	// snapshotter takes every shard's foldMu to capture a consistent
-	// cut of stores + roll-ups + trackers at a batch boundary.
+	// cut of the stores at a batch boundary.
 	foldMu    sync.Mutex
 	foldedSeq atomic.Uint64 // newest WAL seq folded into memory
 
 	dead atomic.Bool // kill(): drop queued batches instead of folding
-
-	rollMu   sync.Mutex
-	roll     map[rollRef]*stats.Online
-	trackers map[trackRef]*stats.EWMATracker
-
-	// cube holds this shard's slice of the plant's OLAP cube (the
-	// machines hashed here), folded alongside the roll-up leaves under
-	// rollMu; queries scan the shard cubes in place (cubeView) and
-	// translate only answer cells back to strings. cubeLast memoises
-	// the last-touched cell: consecutive trace records almost always
-	// land in the same cell (t varies fastest), so the hot path skips
-	// even the array-keyed map access. Guarded by rollMu like the cube
-	// itself.
-	cube     *olap.IntCube
-	cubeLast struct {
-		coord olap.IntCoord
-		cell  *olap.IntCell
-	}
 }
 
 // Alert is one streaming detection event raised at ingest time by the
@@ -171,7 +140,7 @@ func newPlantState(topo Topology) *plantState {
 	}
 	ps.mstores = make([]*machineStore, ps.in.machines.Len())
 	for id, m := range ps.in.machines.Names() {
-		ms := newMachineStore(len(topo.Phases), len(topo.Sensors))
+		ms := newMachineStore(ps.in.machineLine[id], int32(id), len(topo.Phases), len(topo.Sensors))
 		ps.machines[m] = ms
 		ps.mstores[id] = ms
 	}
@@ -189,12 +158,7 @@ func (ps *plantState) makeShards(shards, queueDepth int) {
 	}
 	ps.shards = make([]*shard, shards)
 	for i := range ps.shards {
-		ps.shards[i] = &shard{
-			q:        stream.NewQueue[shardBatch](queueDepth),
-			roll:     make(map[rollRef]*stats.Online),
-			trackers: make(map[trackRef]*stats.EWMATracker),
-			cube:     olap.NewIntCube(),
-		}
+		ps.shards[i] = &shard{q: stream.NewQueue[shardBatch](queueDepth)}
 	}
 	// Shard routing is decided once per machine at registration — the
 	// hash function is unchanged (so shard ownership survives restarts
@@ -262,23 +226,8 @@ func hashShardIndex(machine string, shards int) int {
 	return int(h.Sum32()) % shards
 }
 
-// shardIndexFor routes a machine to its pipeline index; environment
-// records ride on shard 0. Registered machines hit the precomputed
-// table; unknown names (possible on cold paths like stray WAL replay)
-// fall back to the hash.
-func (ps *plantState) shardIndexFor(machine string) int {
-	if id, ok := ps.in.machines.ID(machine); ok {
-		return int(ps.shardOf[id])
-	}
-	return hashShardIndex(machine, len(ps.shards))
-}
-
-func (ps *plantState) shardFor(machine string) *shard {
-	return ps.shards[ps.shardIndexFor(machine)]
-}
-
 // work is the shard worker loop: fold each admitted batch into the
-// stores, the roll-up accumulators, and the online alert trackers.
+// stores.
 func (ps *plantState) work(sh *shard) {
 	defer ps.wg.Done()
 	for {
@@ -290,7 +239,7 @@ func (ps *plantState) work(sh *shard) {
 			continue // killed: simulate losing the backlog
 		}
 		sh.foldMu.Lock()
-		ps.foldRefs(sh, batch.refs)
+		ps.foldRefs(batch.refs)
 		if batch.seq > 0 {
 			sh.foldedSeq.Store(batch.seq)
 		}
@@ -298,86 +247,78 @@ func (ps *plantState) work(sh *shard) {
 	}
 }
 
-// foldRefs folds one admitted batch of interned records into a shard's
-// state. It is the single ingest fold path: the shard workers run it
+// foldRefs folds one admitted batch of interned records into the
+// stores. It is the single ingest fold path: the shard workers run it
 // live, and the durable open path replays snapshot-uncovered WAL
 // entries through it — replay is idempotent by construction because the
-// store reports replayed cells as not fresh, which skips the roll-up
-// and tracker side effects exactly like a client's 429 retry does.
-// Every per-record step is id-keyed: no string is hashed, joined, or
-// allocated between here and the stores.
-func (ps *plantState) foldRefs(sh *shard, refs []recordRef) {
+// store reports replayed samples as not fresh, which skips the roll-up,
+// cube and tracker side effects exactly like a client's 429 retry does.
+// Every per-record step indexes with an id the record carries: the
+// machine's store, then — under that store's mutex, taken once per run
+// of same-machine records — the job, the grid, and from the grid's
+// position the leaf, the cube cell and the tracker. No string is
+// hashed, joined, or allocated between here and the stores.
+func (ps *plantState) foldRefs(refs []recordRef) {
 	var wrote bool
 	var freshRecs uint64
 	var newAlerts []Alert
-	for _, ref := range refs {
-		if ref.machine < 0 {
-			fresh, changed := ps.env.set(ref.sensor, int(ref.t), ref.value)
-			if fresh {
-				freshRecs++
+	for rest := refs; len(rest) > 0; {
+		n := 1
+		for n < len(rest) && rest[n].machine == rest[0].machine {
+			n++
+		}
+		run := rest[:n]
+		rest = rest[n:]
+		if run[0].machine < 0 {
+			for _, ref := range run {
+				fresh, changed := ps.env.set(ref.sensor, int(ref.t), ref.value)
+				if fresh {
+					freshRecs++
+				}
+				wrote = wrote || changed
 			}
-			wrote = wrote || changed
 			continue
 		}
-		ms := ps.mstores[ref.machine]
-		fresh, changed := ms.setRef(ref)
-		wrote = wrote || changed // corrections must reach the next snapshot
-		if !fresh {
-			// Idempotent replay of an already-seen cell: the store
-			// (and thus the report) carries any corrected value,
-			// but the streaming roll-up and alert trackers fold
-			// each cell's first-seen value only — Welford
-			// accumulators cannot retract an observation.
-			continue
-		}
-		freshRecs++
-		key := rollRef{ref.machine, ref.phase, ref.sensor}
-		trKey := trackRef{machine: ref.machine, sensor: ref.sensor}
-		sh.rollMu.Lock()
-		o, ok := sh.roll[key]
-		if !ok {
-			o = &stats.Online{}
-			sh.roll[key] = o
-		}
-		o.Add(ref.value)
-		// The OLAP cube folds each cell's first-seen value, exactly
-		// like the roll-up leaves: its aggregates cannot retract an
-		// observation. Live traffic cannot fail these folds (admission
-		// guarantees finite values, the arity is fixed) — but a WAL
-		// replay can still surface a sum overflow the cube refuses. The
-		// store and roll-up still folded it, so log the divergence
-		// instead of dropping it silently: /v1/cube would otherwise
-		// undercount against /v1/rollup with no operator signal.
-		cl := &sh.cubeLast
-		coord := olap.IntCoord{ps.in.machineLine[ref.machine], ref.machine, ref.job, ref.phase, ref.sensor}
-		var cubeErr error
-		if cl.cell != nil && cl.coord == coord {
-			cubeErr = cl.cell.Observe(ref.value)
-		} else {
-			if cubeErr = sh.cube.AddFact(coord, ref.value); cubeErr == nil {
-				cl.coord = coord
-				cl.cell = sh.cube.CellAt(coord)
+		ms := ps.mstores[run[0].machine]
+		ms.mu.Lock()
+		for _, ref := range run {
+			g, fresh, changed := ms.set(ref)
+			wrote = wrote || changed // corrections must reach the next snapshot
+			if !fresh {
+				// Idempotent replay of an already-seen sample: the store
+				// (and thus the report) carries any corrected value, but
+				// the roll-up leaf, the cube cell and the alert tracker
+				// fold each sample's first-seen value only — their
+				// aggregates cannot retract an observation.
+				continue
+			}
+			freshRecs++
+			ms.leaves[int(ref.phase)*ms.nSensors+int(ref.sensor)].Add(ref.value)
+			// Live traffic cannot fail the cube fold (admission guarantees
+			// finite values) — but a WAL replay can still surface a sum
+			// overflow the cell refuses. The store and roll-up still
+			// folded it, so log the divergence instead of dropping it
+			// silently: /v1/cube would otherwise undercount against
+			// /v1/rollup with no operator signal.
+			cell := &g.cells[ref.sensor]
+			if cell.Count == 0 { // first fact: a finite value alone overflows nothing, so it lands
+				cell.Coord = olap.IntCoord{ms.line, ms.id, ref.job, ref.phase, ref.sensor}
+				ms.nCells++
+			}
+			if err := cell.Observe(ref.value); err != nil {
+				log.Printf("server: plant %s: cube fold dropped sample (machine %s job %s phase %s sensor %s t %d): %v",
+					ps.topo.ID, ps.in.machines.Name(ref.machine), ps.in.jobs.Name(ref.job),
+					ps.in.phases.Name(ref.phase), ps.in.sensors.Name(ref.sensor), ref.t, err)
+			}
+			if score := ms.trackers[ref.sensor].Add(ref.value); score >= ps.alertThreshold {
+				newAlerts = append(newAlerts, ps.pushAlert(Alert{
+					Machine: ps.in.machines.Name(ref.machine), Phase: ps.in.phases.Name(ref.phase),
+					Sensor: ps.in.sensors.Name(ref.sensor),
+					T:      int(ref.t), Value: ref.value, Score: score,
+				}))
 			}
 		}
-		if cubeErr != nil {
-			log.Printf("server: plant %s: cube fold dropped sample (machine %s job %s phase %s sensor %s t %d): %v",
-				ps.topo.ID, ps.in.machines.Name(ref.machine), ps.in.jobs.Name(ref.job),
-				ps.in.phases.Name(ref.phase), ps.in.sensors.Name(ref.sensor), ref.t, cubeErr)
-		}
-		tr, ok := sh.trackers[trKey]
-		if !ok {
-			tr = stats.NewEWMATracker(0.05)
-			sh.trackers[trKey] = tr
-		}
-		score := tr.Add(ref.value)
-		sh.rollMu.Unlock()
-		if score >= ps.alertThreshold {
-			newAlerts = append(newAlerts, ps.pushAlert(Alert{
-				Machine: ps.in.machines.Name(ref.machine), Phase: ps.in.phases.Name(ref.phase),
-				Sensor: ps.in.sensors.Name(ref.sensor),
-				T:      int(ref.t), Value: ref.value, Score: score,
-			}))
-		}
+		ms.mu.Unlock()
 	}
 	// Revision before counters: drain-watchers (Client.WaitDrained)
 	// poll received_records, so by the time the counter covers this
@@ -591,47 +532,38 @@ func (ps *plantState) activeMachines() []string {
 	return out
 }
 
-// rollup merges the shard-local leaf accumulators and folds them up to
-// the requested level: sensor, phase, machine, line, or plant. It
-// returns the resolved level (the empty string defaults to "plant") so
-// the handler echoes exactly what was computed instead of re-deriving
-// the default. Leaves are merged in sorted key order — the parallel
-// Welford merge is not floating-point associative, so map iteration
-// order would otherwise leak last-ulp jitter into responses (and break
-// the byte-identical crash-recovery contract).
+// rollup folds the machine stores' leaves up to the requested level:
+// sensor, phase, machine, line, or plant. It returns the resolved level
+// (the empty string defaults to "plant") so the handler echoes exactly
+// what was computed instead of re-deriving the default. Leaves are
+// merged in ascending (machine, phase, sensor) id order, which is the
+// order the stores hold them in — the parallel Welford merge is not
+// floating-point associative, so the order must be a function of the
+// topology alone or last-ulp jitter would leak into responses (and
+// break the byte-identical crash-recovery contract).
 func (ps *plantState) rollup(level string) (string, []RollupNode, error) {
 	resolved, keyFn, err := rollupKeyFn(level, ps.topo.ID)
 	if err != nil {
 		return "", nil, err
 	}
-	type leafPair struct {
-		k rollKey
-		o stats.Online
-	}
-	var leaves []leafPair
-	for _, sh := range ps.shards {
-		sh.rollMu.Lock()
-		for k, o := range sh.roll {
-			leaves = append(leaves, leafPair{ps.rollKeyOf(k), *o})
-		}
-		sh.rollMu.Unlock()
-	}
-	sort.Slice(leaves, func(i, j int) bool {
-		a, b := leaves[i].k, leaves[j].k
-		if a.machine != b.machine {
-			return a.machine < b.machine
-		}
-		if a.phase != b.phase {
-			return a.phase < b.phase
-		}
-		return a.sensor < b.sensor
-	})
 	agg := make(map[string]stats.Online)
-	for _, lp := range leaves {
-		key := keyFn(lp.k)
-		merged := agg[key]
-		merged.Merge(lp.o)
-		agg[key] = merged
+	for _, ms := range ps.mstores {
+		k := rollKey{line: ps.in.lines.Name(ms.line), machine: ps.in.machines.Name(ms.id)}
+		ms.mu.Lock()
+		for ph, phase := range ps.topo.Phases {
+			for s, sensor := range ps.topo.Sensors {
+				leaf := ms.leaves[ph*ms.nSensors+s]
+				if leaf.N() == 0 {
+					continue
+				}
+				k.phase, k.sensor = phase, sensor
+				key := keyFn(k)
+				merged := agg[key]
+				merged.Merge(leaf)
+				agg[key] = merged
+			}
+		}
+		ms.mu.Unlock()
 	}
 	keys := make([]string, 0, len(agg))
 	for k := range agg {
@@ -647,17 +579,6 @@ func (ps *plantState) rollup(level string) (string, []RollupNode, error) {
 		})
 	}
 	return resolved, out, nil
-}
-
-// rollKeyOf translates an interned leaf key back to its string form —
-// the query boundary where ids stop and names resume.
-func (ps *plantState) rollKeyOf(k rollRef) rollKey {
-	return rollKey{
-		line:    ps.in.lines.Name(ps.in.machineLine[k.machine]),
-		machine: ps.in.machines.Name(k.machine),
-		phase:   ps.in.phases.Name(k.phase),
-		sensor:  ps.in.sensors.Name(k.sensor),
-	}
 }
 
 // RollupNode is one aggregate of the incremental roll-up tree; the

@@ -65,11 +65,13 @@ func (l *FaultListener) Accept() (net.Conn, error) {
 		if !l.takeDrop() {
 			return c, nil
 		}
+		// Counted before the close: the client may act on the reset the
+		// moment it is sent, and must find it in Dropped().
+		l.dropped.Add(1)
 		if tc, ok := c.(*net.TCPConn); ok {
 			_ = tc.SetLinger(0) // RST, not FIN: clients see "connection reset"
 		}
 		_ = c.Close()
-		l.dropped.Add(1)
 	}
 }
 

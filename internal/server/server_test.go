@@ -728,7 +728,7 @@ func TestCorrectedValueReachesSnapshot(t *testing.T) {
 		if rejected != 0 {
 			t.Fatalf("record rejected: %s", firstErr)
 		}
-		if !ps.shardFor(rec.Machine).q.TryPush(shardBatch{refs: refs}) {
+		if !ps.shards[ps.shardOf[refs[0].machine]].q.TryPush(shardBatch{refs: refs}) {
 			t.Fatal("push failed")
 		}
 	}

@@ -4,30 +4,26 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"flag"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strconv"
+	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/olap"
 	"repro/internal/plant"
 	"repro/internal/stats"
 	"repro/internal/wal"
 	"repro/pkg/hod/wire"
 )
 
-var updateFuzzCorpus = flag.Bool("update-fuzz-corpus", false, "rewrite testdata/fuzz/FuzzRestoreState from the forged cases")
-
 // forgedState is the smallest state decodeState accepts that still holds
-// one of everything a forger can aim an id at: a job with vectors and a
-// sample, an environment series, a leaf, a tracker, a cube cell, an
-// alert.
+// one of everything a forger can aim at: a job with vectors, a sample
+// and the cube cell beside it, an environment series, a leaf, a tracker,
+// an alert.
 func forgedState() *snapState {
 	topo := topoWithDefaults(Topology{ID: "forged", Lines: []TopoLine{{ID: "l", Machines: []string{"l/m1"}}}})
 	return &snapState{
@@ -36,14 +32,15 @@ func forgedState() *snapState {
 		Machines: []snapMachine{{Rev: 1, Jobs: []snapJob{{
 			Setup: make([]float64, topo.SetupDims), CAQ: make([]float64, topo.CAQDims), HasMeta: true,
 			Phases: [][][]float64{{{1.5}}},
-		}}}},
+			Cells:  [][]snapCell{{{Count: 1, Sum: 1.5, Min: 1.5, Max: 1.5}}},
+		}},
+			Leaves:   []stats.OnlineState{{N: 1, Mean: 1.5, Min: 1.5, Max: 1.5}},
+			Trackers: []stats.EWMAState{{Alpha: trackerAlpha, Mean: 1.5, Started: true}},
+		}},
 		Env:     [][]float64{{19}},
 		DataRev: 1, Accepted: 2, Received: 2,
-		Leaves:    []snapLeaf{{Roll: stats.OnlineState{N: 1, Mean: 1.5, Min: 1.5, Max: 1.5}}},
-		Trackers:  []snapTracker{{EWMA: stats.EWMAState{Alpha: 0.05, Mean: 1.5, Started: true}}},
-		CubeCells: []olap.IntCell{{Count: 1, Sum: 1.5, Min: 1.5, Max: 1.5}},
-		Alerts:    []wire.Alert{{Seq: 1, Machine: "l/m1", Phase: "preparation", Sensor: "temp-a", Value: 1.5, Score: 9}},
-		AlertSeq:  1,
+		Alerts:   []wire.Alert{{Seq: 1, Machine: "l/m1", Phase: "preparation", Sensor: "temp-a", Value: 1.5, Score: 9}},
+		AlertSeq: 1,
 	}
 }
 
@@ -57,7 +54,7 @@ type forgedCase struct {
 
 // forgedStoreCases aim at the stores, the dictionaries, the leaves and
 // the trackers. The first three are the gate handleJobs enforces with
-// vector_dims; the rest are ids applyState would index with.
+// vector_dims; the rest are ids and lengths applyState would index with.
 var forgedStoreCases = []forgedCase{
 	{"oversized setup", func(st *snapState) { j := &st.Machines[0].Jobs[0]; j.Setup = append(j.Setup, 1) }, wire.CodeVectorDims},
 	{"oversized caq", func(st *snapState) { j := &st.Machines[0].Jobs[0]; j.CAQ = append(j.CAQ, 1) }, wire.CodeVectorDims},
@@ -78,28 +75,36 @@ var forgedStoreCases = []forgedCase{
 	{"duplicate job name", func(st *snapState) { st.JobInterns = []string{"j1", "j1"} }, wire.CodeBadRequest},
 	{"control character in a job name", func(st *snapState) { st.JobInterns = []string{"j\x1fprint"} }, wire.CodeBadRequest},
 	{"empty job name", func(st *snapState) { st.JobInterns = []string{""} }, wire.CodeBadRequest},
-	{"leaf machine beyond the topology", func(st *snapState) { st.Leaves[0].Machine = 1 }, wire.CodeBadRequest},
-	{"negative leaf phase", func(st *snapState) { st.Leaves[0].Phase = -1 }, wire.CodeBadRequest},
-	{"leaf stored twice", func(st *snapState) { st.Leaves = append(st.Leaves, st.Leaves[0]) }, wire.CodeBadRequest},
-	{"tracker sensor beyond the topology", func(st *snapState) { st.Trackers[0].Sensor = int32(len(st.Topo.Sensors)) }, wire.CodeBadRequest},
+	{"leaves beyond the topology", func(st *snapState) {
+		st.Machines[0].Leaves = make([]stats.OnlineState, len(st.Topo.Phases)*len(st.Topo.Sensors)+1)
+	}, wire.CodeBadRequest},
+	{"trackers beyond the topology", func(st *snapState) {
+		st.Machines[0].Trackers = make([]stats.EWMAState, len(st.Topo.Sensors)+1)
+	}, wire.CodeBadRequest},
 	{"alert above the sequence mark", func(st *snapState) { st.Alerts[0].Seq = 2 }, wire.CodeBadRequest},
 }
 
-// forgedCubeCases aim at the cube cells, which applyState feeds through
-// olap.AddAggregate: empty and non-finite aggregates, and a coordinate
-// outside its dictionary in each of the five dimensions.
+// forgedCubeCases aim at the cube cells, which applyState writes into
+// the grid of the samples they sit beside: cells where no grid will be,
+// and aggregates an olap.IntCell never holds.
 var forgedCubeCases = []forgedCase{
-	{"non-finite sum", func(st *snapState) { st.CubeCells[0].Sum = math.Inf(1) }, wire.CodeBadRequest},
-	{"empty cell", func(st *snapState) { st.CubeCells[0].Count = 0 }, wire.CodeBadRequest},
-	{"line beyond the topology", func(st *snapState) { st.CubeCells[0].Coord[0] = 1 }, wire.CodeBadRequest},
-	{"machine beyond the topology", func(st *snapState) { st.CubeCells[0].Coord[1] = 1 }, wire.CodeBadRequest},
-	{"job beyond the job table", func(st *snapState) { st.CubeCells[0].Coord[2] = 1 }, wire.CodeBadRequest},
-	{"phase beyond the topology", func(st *snapState) { st.CubeCells[0].Coord[3] = math.MaxInt32 }, wire.CodeBadRequest},
-	{"negative sensor", func(st *snapState) { st.CubeCells[0].Coord[4] = -1 }, wire.CodeBadRequest},
-	{"cell stored twice", func(st *snapState) { st.CubeCells = append(st.CubeCells, st.CubeCells[0]) }, wire.CodeBadRequest},
+	{"cells beyond the topology", func(st *snapState) {
+		st.Machines[0].Jobs[0].Cells[0] = make([]snapCell, len(st.Topo.Sensors)+1)
+	}, wire.CodeBadRequest},
+	{"cells for a phase without samples", func(st *snapState) {
+		j := &st.Machines[0].Jobs[0]
+		j.Phases = append(j.Phases, nil)
+		j.Cells = append(j.Cells, j.Cells[0])
+	}, wire.CodeBadRequest},
+	{"cells for more phases than samples", func(st *snapState) {
+		j := &st.Machines[0].Jobs[0]
+		j.Cells = append(j.Cells, j.Cells[0])
+	}, wire.CodeBadRequest},
+	{"negative count", func(st *snapState) { st.Machines[0].Jobs[0].Cells[0][0].Count = -1 }, wire.CodeBadRequest},
+	{"non-finite sum", func(st *snapState) { st.Machines[0].Jobs[0].Cells[0][0].Sum = math.Inf(1) }, wire.CodeBadRequest},
 }
 
-func encodeForged(t *testing.T, st *snapState) []byte {
+func encodeForged(t testing.TB, st *snapState) []byte {
 	t.Helper()
 	payload, err := encodeState(st)
 	if err != nil {
@@ -142,7 +147,7 @@ func restoreForged(t *testing.T, cases []forgedCase) {
 
 // livePlant folds a small trace and job metadata straight into a plant
 // (no workers, so job ids are assigned in trace order).
-func livePlant(t *testing.T) *plantState {
+func livePlant(t testing.TB) *plantState {
 	t.Helper()
 	ps := newPlantState(binaryTestTopo())
 	ps.makeShards(2, 8)
@@ -152,58 +157,32 @@ func livePlant(t *testing.T) *plantState {
 	return ps
 }
 
-// fuzzSeeds is the committed seed corpus of FuzzRestoreState: the
-// payload of a live plant's backup, the forged baseline and every
-// forged case.
-func fuzzSeeds(t *testing.T) map[string][]byte {
-	seeds := map[string][]byte{
-		"live-backup":  encodeForged(t, livePlant(t).captureState()),
-		"forged-clean": encodeForged(t, forgedState()),
+// fuzzSeeds is the seed corpus of FuzzRestoreState: the payload of a
+// live plant's backup, the forged baseline and every forged case.
+func fuzzSeeds(t testing.TB) [][]byte {
+	seeds := [][]byte{
+		encodeForged(t, livePlant(t).captureState()),
+		encodeForged(t, forgedState()),
 	}
-	for kind, cases := range map[string][]forgedCase{"store": forgedStoreCases, "cube": forgedCubeCases} {
-		for _, c := range cases {
-			st := forgedState()
-			c.mutate(st)
-			seeds["forged-"+kind+"-"+strings.ReplaceAll(c.name, " ", "-")] = encodeForged(t, st)
-		}
+	for _, c := range slices.Concat(forgedStoreCases, forgedCubeCases) {
+		st := forgedState()
+		c.mutate(st)
+		seeds = append(seeds, encodeForged(t, st))
 	}
 	return seeds
-}
-
-// TestFuzzCorpusCurrent keeps the committed corpus equal to what the
-// current snapState encodes to — a seed that silently stopped decoding
-// would leave the fuzzer starting from noise. Regenerate with
-// go test ./internal/server -run TestFuzzCorpusCurrent -update-fuzz-corpus.
-func TestFuzzCorpusCurrent(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzRestoreState")
-	seeds := fuzzSeeds(t)
-	if *updateFuzzCorpus {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for name, payload := range seeds {
-		want := "go test fuzz v1\n[]byte(" + strconv.Quote(string(payload)) + ")\n"
-		path := filepath.Join(dir, name)
-		if *updateFuzzCorpus {
-			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		got, err := os.ReadFile(path)
-		if err != nil || string(got) != want {
-			t.Errorf("seed %s is stale (%v); rerun with -update-fuzz-corpus", name, err)
-		}
-	}
 }
 
 // FuzzRestoreState feeds arbitrary snapshot payloads — what POST
 // /restore and a seeding standby hand decodeState once the envelope's
 // CRC checked out — through decode and validation. Whatever is accepted
 // must load into a fresh plant and capture back as a state that is
-// itself accepted, without panicking.
+// itself accepted, without panicking. The seeds are built from the
+// current snapState on every run, so none can go stale, and run as unit
+// tests under plain go test.
 func FuzzRestoreState(f *testing.F) {
+	for _, seed := range fuzzSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		st, err := decodeState(payload)
 		if err != nil {
@@ -226,11 +205,10 @@ func FuzzRestoreState(f *testing.F) {
 }
 
 // TestSnapshotBytesDeterministic: the snapshot bytes are a function of
-// the state. Two captures of one quiescent plant — its stores, leaves,
-// trackers and cells sitting in maps, its jobs interned in whatever
-// order three shard workers raced to — encode identically, and so does
-// the capture of a plant the first capture was applied to, even one
-// with a different shard count.
+// the state. Two captures of one quiescent plant — its jobs sitting in
+// maps, interned in whatever order three shard workers raced to —
+// encode identically, and so does the capture of a plant the first
+// capture was applied to, even one with a different shard count.
 func TestSnapshotBytesDeterministic(t *testing.T) {
 	p, err := plant.Simulate(plant.Config{Seed: 9, Lines: 2, MachinesPerLine: 3, JobsPerMachine: 3, PhaseSamples: 6})
 	if err != nil {
@@ -267,57 +245,63 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 	}
 }
 
-// TestOlderSnapshotFormatRefused: testdata/backup_format0.snap is a
-// backup written by the commit before the format tag existed (untagged
-// gob, name-keyed maps). gob would decode it into the current snapState
+// TestOlderSnapshotFormatRefused: testdata holds one backup per retired
+// format — backup_format0.snap from the commit before the format tag
+// existed (untagged gob, name-keyed maps), backup_format1.snap from the
+// last commit that kept leaves, trackers and cube cells in id-keyed
+// lists of their own. gob would decode either into the current snapState
 // without complaint — every field it does not recognise dropped, a
-// restored plant with its topology and nothing else — so both ways in
-// refuse it by its first byte: POST /restore with a 400, Open with an
-// error that names the plant directory.
+// restored plant missing its aggregates — so both ways in refuse them by
+// the first byte: POST /restore with a 400, Open with an error that
+// names the plant directory.
 func TestOlderSnapshotFormatRefused(t *testing.T) {
-	old, err := os.ReadFile(filepath.Join("testdata", "backup_format0.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, payload, err := wal.DecodeSnapshot(old); err != nil {
-		t.Fatalf("fixture is not a framed snapshot: %v", err)
-	} else if _, err := decodeState(payload); !errors.Is(err, errSnapFormat) {
-		t.Fatalf("decodeState of a format-0 payload: %v, want errSnapFormat", err)
-	}
+	for _, fixture := range []string{"backup_format0.snap", "backup_format1.snap"} {
+		t.Run(fixture, func(t *testing.T) {
+			old, err := os.ReadFile(filepath.Join("testdata", fixture))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, payload, err := wal.DecodeSnapshot(old); err != nil {
+				t.Fatalf("fixture is not a framed snapshot: %v", err)
+			} else if _, err := decodeState(payload); !errors.Is(err, errSnapFormat) {
+				t.Fatalf("decodeState of the payload: %v, want errSnapFormat", err)
+			}
 
-	srv := New(Options{})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/plants/old/restore", "application/octet-stream", bytes.NewReader(old))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := mustStatus(t, resp, http.StatusBadRequest)
-	var env wire.ErrorEnvelope
-	if err := json.Unmarshal(body, &env); err != nil || env.Err.Code != wire.CodeBadRequest ||
-		!strings.Contains(env.Err.Message, errSnapFormat.Error()) {
-		t.Fatalf("restore of a format-0 backup answered %s", body)
-	}
-	if _, ok := srv.plant("old"); ok {
-		t.Fatal("a refused backup left a plant behind")
-	}
+			srv := New(Options{})
+			defer srv.Close()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			resp, err := http.Post(ts.URL+"/v1/plants/old/restore", "application/octet-stream", bytes.NewReader(old))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := mustStatus(t, resp, http.StatusBadRequest)
+			var env wire.ErrorEnvelope
+			if err := json.Unmarshal(body, &env); err != nil || env.Err.Code != wire.CodeBadRequest ||
+				!strings.Contains(env.Err.Message, errSnapFormat.Error()) {
+				t.Fatalf("restore of the backup answered %s", body)
+			}
+			if _, ok := srv.plant("old"); ok {
+				t.Fatal("a refused backup left a plant behind")
+			}
 
-	// The same bytes as a data dir's snapshot file, beside the meta.json
-	// the old server would have written.
-	dataDir := t.TempDir()
-	plantDir := filepath.Join(dataDir, "old")
-	topo := Topology{ID: "old", Lines: []TopoLine{{ID: "l0", Machines: []string{"m0"}}},
-		Phases: []string{"heat", "cool"}, Sensors: []string{"temp"}, EnvSensors: []string{"hall"}}
-	if err := persistMeta(plantDir, topoWithDefaults(topo)); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(plantDir, wal.SnapshotName), old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = New(durableOptions(dataDir)).Open()
-	if !errors.Is(err, errSnapFormat) || !strings.Contains(err.Error(), "plant dir old") {
-		t.Fatalf("Open over a format-0 snapshot: %v, want errSnapFormat naming the plant dir", err)
+			// The same bytes as a data dir's snapshot file, beside the
+			// meta.json the old server would have written.
+			dataDir := t.TempDir()
+			plantDir := filepath.Join(dataDir, "old")
+			topo := Topology{ID: "old", Lines: []TopoLine{{ID: "l0", Machines: []string{"m0"}}},
+				Phases: []string{"heat", "cool"}, Sensors: []string{"temp"}, EnvSensors: []string{"hall"}}
+			if err := persistMeta(plantDir, topoWithDefaults(topo)); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(plantDir, wal.SnapshotName), old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			err = New(durableOptions(dataDir)).Open()
+			if !errors.Is(err, errSnapFormat) || !strings.Contains(err.Error(), "plant dir old") {
+				t.Fatalf("Open over the snapshot: %v, want errSnapFormat naming the plant dir", err)
+			}
+		})
 	}
 }
 
@@ -497,11 +481,11 @@ func TestRestoredPlantReopens(t *testing.T) {
 	}
 }
 
-// TestRestartWithDifferentShardCount: snapshot ids name machines, not
-// shards. A plant snapshotted under three shards and reopened under two
-// — leaves, trackers and cube cells re-routed by the new machine→shard
-// hash, the third WAL directory replayed and dropped — answers with the
-// same bytes, and again after a kill that leaves only the WAL tail.
+// TestRestartWithDifferentShardCount: a snapshot holds nothing per
+// shard but its WAL positions. A plant snapshotted under three shards
+// and reopened under two — the third WAL directory replayed and dropped
+// — answers with the same bytes, and again after a kill that leaves
+// only the WAL tail.
 func TestRestartWithDifferentShardCount(t *testing.T) {
 	p, err := plant.Simulate(plant.Config{Seed: 5, Lines: 2, MachinesPerLine: 3, JobsPerMachine: 2, PhaseSamples: 6})
 	if err != nil {

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"repro/internal/intern"
+	"repro/internal/olap"
 	"repro/internal/plant"
+	"repro/internal/stats"
 	"repro/internal/timeseries"
 	"repro/pkg/hod/wire"
 )
@@ -49,12 +51,16 @@ func topoWithDefaults(t Topology) Topology {
 	return t
 }
 
-// cellGrid holds the per-sensor sample buffers of one (job, phase),
-// indexed by interned sensor id. Cells are written set-at-index with
-// NaN holes, so replayed batches are idempotent — the retry story
-// after a 429 needs no dedup state.
+// cellGrid holds one (job, phase) of a machine, indexed by interned
+// sensor id: the sample buffers and, beside each, the OLAP cube cell
+// aggregating that buffer's first-seen values — a cube coordinate
+// (line, machine, job, phase, sensor) names exactly one buffer, so the
+// cell needs no index of its own. A cell exists once its Count > 0.
+// Samples are written set-at-index with NaN holes, so replayed batches
+// are idempotent — the retry story after a 429 needs no dedup state.
 type cellGrid struct {
-	bufs [][]float64 // sensor id → samples
+	bufs  [][]float64    // sensor id → samples
+	cells []olap.IntCell // sensor id → cube cell
 }
 
 // set writes one sample and reports whether the cell was previously
@@ -79,18 +85,38 @@ type jobStore struct {
 	phases     []*cellGrid // phase id → grid, nil until touched
 }
 
-// machineStore buffers one machine's ingested data, jobs keyed by
-// interned job id. Exactly one shard worker writes it (machines hash
-// onto shards); the lock exists for the report-side and snapshot reads.
+// trackerAlpha is the smoothing factor of the per-sensor alert trackers.
+const trackerAlpha = 0.05
+
+// machineStore is the one home of everything the server folds for one
+// machine, indexed by the interned ids records carry: the samples (jobs
+// keyed by job id, the one namespace that grows), the roll-up leaves,
+// the alert trackers and the cube cells. The topology is fixed at
+// registration, so leaves and trackers are flat slices allocated there.
+// Exactly one shard worker writes it (machines hash onto shards); mu
+// exists for the report, query and snapshot reads.
 type machineStore struct {
 	mu                sync.Mutex
 	rev               uint64
+	line, id          int32 // the cube coordinate prefix of this machine's cells
 	nPhases, nSensors int
 	jobsByID          map[int32]*jobStore
+	leaves            []stats.Online      // phase id*nSensors + sensor id → roll-up leaf
+	trackers          []stats.EWMATracker // sensor id → alert tracker
+	nCells            int                 // cube cells with Count > 0
 }
 
-func newMachineStore(nPhases, nSensors int) *machineStore {
-	return &machineStore{nPhases: nPhases, nSensors: nSensors, jobsByID: make(map[int32]*jobStore)}
+func newMachineStore(line, id int32, nPhases, nSensors int) *machineStore {
+	ms := &machineStore{
+		line: line, id: id, nPhases: nPhases, nSensors: nSensors,
+		jobsByID: make(map[int32]*jobStore),
+		leaves:   make([]stats.Online, nPhases*nSensors),
+		trackers: make([]stats.EWMATracker, nSensors),
+	}
+	for i := range ms.trackers {
+		ms.trackers[i] = *stats.NewEWMATracker(trackerAlpha)
+	}
+	return ms
 }
 
 // job returns (creating if needed) the store of one job. Callers must
@@ -104,21 +130,26 @@ func (ms *machineStore) job(id int32) *jobStore {
 	return j
 }
 
-// setRef folds one interned machine record.
-func (ms *machineStore) setRef(ref recordRef) (fresh, changed bool) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	j := ms.job(ref.job)
-	g := j.phases[ref.phase]
+// grid returns (creating if needed) one phase of a job. Callers must
+// hold mu.
+func (ms *machineStore) grid(j *jobStore, phase int32) *cellGrid {
+	g := j.phases[phase]
 	if g == nil {
-		g = &cellGrid{bufs: make([][]float64, ms.nSensors)}
-		j.phases[ref.phase] = g
+		g = &cellGrid{bufs: make([][]float64, ms.nSensors), cells: make([]olap.IntCell, ms.nSensors)}
+		j.phases[phase] = g
 	}
+	return g
+}
+
+// set stores the sample of one interned machine record and returns the
+// grid it landed in. Callers must hold mu.
+func (ms *machineStore) set(ref recordRef) (g *cellGrid, fresh, changed bool) {
+	g = ms.grid(ms.job(ref.job), ref.phase)
 	fresh, changed = g.set(ref.sensor, int(ref.t), ref.value)
 	if changed {
 		ms.rev++
 	}
-	return fresh, changed
+	return g, fresh, changed
 }
 
 // setMeta applies one job's metadata and reports whether anything

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -156,19 +157,59 @@ func TestWSSubscriberConvergesToPolledAlerts(t *testing.T) {
 	}
 }
 
+// stallListener makes a peer that accepts no bytes structural: while
+// stalled is write-held, every Write on a connection it accepted blocks
+// — what a full socket buffer does to the writer, however large the
+// kernel sized the buffers.
+type stallListener struct {
+	net.Listener
+	stalled sync.RWMutex
+}
+
+func (l *stallListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &stallConn{Conn: c, l: l}, nil
+}
+
+type stallConn struct {
+	net.Conn
+	l *stallListener
+}
+
+func (c *stallConn) Write(p []byte) (int, error) {
+	c.l.stalled.RLock()
+	defer c.l.stalled.RUnlock()
+	return c.Conn.Write(p)
+}
+
 // TestStalledSubscriberCoalesces pins the slow-consumer contract end to
-// end: a subscriber that never reads during the whole replay does not
-// block ingest, and once it resumes it converges to the same final
+// end: a subscriber that accepts nothing during the whole replay does
+// not block ingest, and once it resumes it converges to the same final
 // ring state — receiving Coalesced events instead of the full history.
+// The subscription alone rides a second, stallable listener on the same
+// server, so ingest acks and polls keep flowing while its writer is
+// stuck.
 func TestStalledSubscriberCoalesces(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	f := newPushFixture(t, Options{})
-	sub, err := f.c.SubscribeAlerts(ctx, f.id)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl := &stallListener{Listener: ln}
+	t.Cleanup(f.srv.ServeListener(sl))
+	sub, err := hod.NewClient("http://"+ln.Addr().String()).SubscribeAlerts(ctx, f.id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
+	sl.stalled.Lock()
+	resume := sync.OnceFunc(sl.stalled.Unlock)
+	defer resume()
 
 	// Stall: no Next calls while the whole trace folds. Ingest must
 	// finish regardless — the hub never blocks the fold path.
@@ -185,7 +226,8 @@ func TestStalledSubscriberCoalesces(t *testing.T) {
 
 	// Resume. The iterator dedups, so collecting until the high-water
 	// mark yields each seq at most once; the server side must have
-	// coalesced (we slept through thousands of events).
+	// coalesced (its writer sat on one event through thousands more).
+	resume()
 	var got []wire.Alert
 	sawCoalesced := false
 	for {
