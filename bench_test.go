@@ -8,6 +8,7 @@ package repro
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -152,6 +153,49 @@ func BenchmarkHierarchicalRun(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAlg1PartialJob measures Algorithm 1 at the phase level on
+// the plant a live server assembles: one machine, 108 jobs x 5 phases
+// x 80 samples in job-name order, the newest job three-quarters
+// streamed. Its name sorts mid-list (job-108 < job-11), so every job
+// after it sits off the per-position profile and most of their samples
+// become candidates; the count is reported beside the timings.
+func BenchmarkAlg1PartialJob(b *testing.B) {
+	p, err := plant.Simulate(plant.Config{
+		Seed: 1, Lines: 1, MachinesPerLine: 1, JobsPerMachine: 108, PhaseSamples: 80,
+		FaultRate: 0.3, MeasurementErrorRate: 0.3,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := p.Machines()[0]
+	newest := m.Jobs[len(m.Jobs)-1]
+	newest.Phases = newest.Phases[:4]
+	for _, dim := range newest.Phases[3].Sensors.Dims {
+		dim.Values = dim.Values[:60]
+	}
+	sort.Slice(m.Jobs, func(i, j int) bool { return m.Jobs[i].ID < m.Jobs[j].ID })
+	all, err := core.NewHierarchy(p, m.ID)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := core.FindHierarchicalOutliers(all, core.LevelPhase, core.Options{MaxOutliers: 1 << 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h, err := core.NewHierarchy(p, m.ID)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.FindHierarchicalOutliers(h, core.LevelPhase, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(rep.Outliers)), "candidates")
 }
 
 // BenchmarkDetectorsPoint measures per-detector point-scoring

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Options tunes Algorithm 1.
@@ -90,51 +91,138 @@ type Report struct {
 // the start level, derives the support from corresponding sensors, and
 // computes the global score by recursing up (outlier confirmed above ⇒
 // score++) and down (outlier absent below ⇒ measurement-error
-// warning).
+// warning). The outlier list is the opts.MaxOutliers strongest
+// findings, strongest first, in a slice of exactly that many.
 func FindHierarchicalOutliers(h *Hierarchy, startLevel Level, opts Options) (*Report, error) {
 	if !startLevel.Valid() {
 		return nil, fmt.Errorf("core: invalid start level %d", int(startLevel))
 	}
 	opts = opts.withDefaults()
 	rep := &Report{StartLevel: startLevel}
+	keep := topK{k: opts.MaxOutliers}
+	if err := findOutliers(h, startLevel, opts, &keep, rep); err != nil {
+		return nil, err
+	}
+	rep.Outliers = keep.ranked()
+	return rep, nil
+}
 
+// findOutliers runs the start level's finder: every finding goes to
+// keep, every measurement-error warning to rep.
+func findOutliers(h *Hierarchy, startLevel Level, opts Options, keep *topK, rep *Report) error {
 	switch startLevel {
 	case LevelPhase:
-		if err := findPhaseOutliers(h, opts, rep); err != nil {
-			return nil, err
-		}
+		return findPhaseOutliers(h, opts, keep)
 	case LevelJob:
-		if err := findJobOutliers(h, opts, rep); err != nil {
-			return nil, err
-		}
+		return findJobOutliers(h, opts, keep, rep)
 	case LevelEnvironment:
-		if err := findEnvOutliers(h, opts, rep); err != nil {
-			return nil, err
-		}
+		return findEnvOutliers(h, opts, keep, rep)
 	case LevelProductionLine:
-		if err := findLineOutliers(h, opts, rep); err != nil {
-			return nil, err
-		}
-	case LevelProduction:
-		if err := findProductionOutliers(h, opts, rep); err != nil {
-			return nil, err
-		}
+		return findLineOutliers(h, opts, keep, rep)
+	default:
+		return findProductionOutliers(h, opts, keep, rep)
 	}
-	// Deterministic ordering: strongest first, then by position.
-	sort.SliceStable(rep.Outliers, func(i, j int) bool {
-		a, b := rep.Outliers[i], rep.Outliers[j]
-		if a.GlobalScore != b.GlobalScore {
-			return a.GlobalScore > b.GlobalScore
+}
+
+// candidate is one finding on its way into the ranked list: the
+// outlier without its SeenAt (built only for the findings that stay),
+// the confirmations SeenAt is built from, and the discovery number.
+type candidate struct {
+	Outlier
+	conf confirmations
+	seq  int
+}
+
+// rank is the report order on the outliers themselves: global score
+// descending, outlierness descending, start-level position ascending;
+// negative when a comes first. cmp.Compare places a NaN outlierness
+// below every number instead of leaving it unordered.
+func rank(a, b *Outlier) int {
+	if c := cmp.Compare(b.GlobalScore, a.GlobalScore); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(b.Outlierness, a.Outlierness); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Index, b.Index)
+}
+
+// before completes rank with the discovery order, which is what a
+// stable sort of the finders' output by rank yields. Discovery numbers
+// are unique, so the order is total.
+func (a *candidate) before(b *candidate) bool {
+	if c := rank(&a.Outlier, &b.Outlier); c != 0 {
+		return c < 0
+	}
+	return a.seq < b.seq
+}
+
+// topK keeps the k first candidates under candidate.before out of any
+// number added, in O(k) memory: a binary heap with the last-ranked kept
+// candidate at the root, so a candidate that does not make the list
+// costs one comparison.
+type topK struct {
+	k     int
+	heap  []candidate
+	added int // candidates so far; the next discovery number
+}
+
+func (t *topK) add(o *Outlier, conf confirmations) {
+	seq := t.added
+	t.added++
+	h := t.heap
+	if len(h) < t.k {
+		h = append(h, candidate{*o, conf, seq})
+		for i := len(h) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if !h[parent].before(&h[i]) {
+				break
+			}
+			h[parent], h[i] = h[i], h[parent]
+			i = parent
 		}
-		if a.Outlierness != b.Outlierness {
-			return a.Outlierness > b.Outlierness
+		t.heap = h
+		return
+	}
+	// The newest candidate loses every tie to one already kept.
+	if rank(o, &h[0].Outlier) >= 0 {
+		return
+	}
+	h[0] = candidate{*o, conf, seq}
+	for i := 0; ; {
+		last := i
+		if l := 2*i + 1; l < len(h) && h[last].before(&h[l]) {
+			last = l
 		}
-		return a.Index < b.Index
+		if r := 2*i + 2; r < len(h) && h[last].before(&h[r]) {
+			last = r
+		}
+		if last == i {
+			return
+		}
+		h[i], h[last] = h[last], h[i]
+		i = last
+	}
+}
+
+// ranked returns the kept outliers in report order, in a slice of their
+// own: nothing the collector held stays reachable from it.
+func (t *topK) ranked() []Outlier {
+	if len(t.heap) == 0 {
+		return nil
+	}
+	slices.SortFunc(t.heap, func(a, b candidate) int {
+		if a.before(&b) {
+			return -1
+		}
+		return 1
 	})
-	if len(rep.Outliers) > opts.MaxOutliers {
-		rep.Outliers = rep.Outliers[:opts.MaxOutliers]
+	out := make([]Outlier, len(t.heap))
+	for i := range t.heap {
+		out[i] = t.heap[i].Outlier
+		out[i].SeenAt = t.heap[i].conf.seenAt(out[i].Level)
 	}
-	return rep, nil
+	return out
 }
 
 // detectedAt reports whether the given level confirms an outlier for
@@ -207,27 +295,44 @@ func detectedAt(h *Hierarchy, level Level, jobIdx int, opts Options) (bool, erro
 	}
 }
 
+// confirmations is the outcome of CalcGlobalScore: how many consecutive
+// levels above and below the start level confirmed the outlier.
+type confirmations struct{ up, down int }
+
+// score is the paper's global score; the start level itself counts 1.
+func (c confirmations) score() int { return 1 + c.up + c.down }
+
+// seenAt lists the confirming levels in the order the passes visited
+// them: the start level, then upward, then downward.
+func (c confirmations) seenAt(start Level) []Level {
+	seen := make([]Level, 0, c.score())
+	seen = append(seen, start)
+	for i := 1; i <= c.up; i++ {
+		seen = append(seen, start+Level(i))
+	}
+	for i := 1; i <= c.down; i++ {
+		seen = append(seen, start-Level(i))
+	}
+	return seen
+}
+
 // globalScore implements CalcGlobalScore of Algorithm 1: it counts the
-// levels confirming the outlier, walking up from the start level (the
-// start level itself counts 1), and runs the downward pass that emits
-// measurement-error warnings. It returns the score, the confirming
-// levels, and any warnings.
-func globalScore(h *Hierarchy, start Level, jobIdx int, sensor string, opts Options) (int, []Level, []Warning, error) {
-	score := 1
-	seen := []Level{start}
+// levels confirming the outlier, walking up from the start level, and
+// runs the downward pass that emits measurement-error warnings.
+func globalScore(h *Hierarchy, start Level, jobIdx int, sensor string, opts Options) (confirmations, []Warning, error) {
+	var conf confirmations
 	var warnings []Warning
 	// Upward pass: CalcGlobalScore(level++, true). The recursion of
 	// Algorithm 1 stops at the first level that does not confirm.
 	for lv := start + 1; lv <= MaxLevel; lv++ {
 		ok, err := detectedAt(h, lv, jobIdx, opts)
 		if err != nil {
-			return 0, nil, nil, err
+			return conf, nil, err
 		}
 		if !ok {
 			break
 		}
-		score++
-		seen = append(seen, lv)
+		conf.up++
 	}
 	// Downward pass: CalcGlobalScore(level--, false). If a lower level
 	// shows no outlier while this level does, a measurement error must
@@ -236,7 +341,7 @@ func globalScore(h *Hierarchy, start Level, jobIdx int, sensor string, opts Opti
 		for lv := start - 1; lv >= MinLevel; lv-- {
 			ok, err := detectedAt(h, lv, jobIdx, opts)
 			if err != nil {
-				return 0, nil, nil, err
+				return conf, nil, err
 			}
 			if !ok {
 				warnings = append(warnings, Warning{
@@ -249,9 +354,8 @@ func globalScore(h *Hierarchy, start Level, jobIdx int, sensor string, opts Opti
 				})
 				break
 			}
-			score++
-			seen = append(seen, lv)
+			conf.down++
 		}
 	}
-	return score, seen, warnings, nil
+	return conf, warnings, nil
 }

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/plant"
+	"repro/internal/timeseries"
 )
 
 func simulate(t *testing.T, cfg plant.Config) *plant.Plant {
@@ -341,6 +344,23 @@ func TestOutliernessMapping(t *testing.T) {
 	}
 	if Outlierness(-1, 5) != 0 {
 		t.Fatal("negative deviation clamps to 0")
+	}
+	// Inf/(Inf+t) is NaN; a NaN would break the rank order and the
+	// report's JSON encoding.
+	if got := Outlierness(math.Inf(1), 5); got != 1 {
+		t.Fatalf("infinite deviation maps to %v, want 1", got)
+	}
+}
+
+// The phase detector reads every sensor as one stream per machine;
+// sensors that disagree on its length cannot be profiled by position.
+func TestPhaseLevelRefusesMisalignedSensors(t *testing.T) {
+	p := simulate(t, plant.Config{Seed: 3, JobsPerMachine: 4})
+	m := p.Machines()[0]
+	m.Jobs[1].Phases[2].Sensors.Dim("temp-b").Name = "temp-c"
+	_, err := FindHierarchicalOutliers(hier(t, p, m.ID), LevelPhase, Options{})
+	if !errors.Is(err, timeseries.ErrMismatch) {
+		t.Fatalf("err = %v, want timeseries.ErrMismatch", err)
 	}
 }
 

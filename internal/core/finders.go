@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/plant"
 	"repro/internal/stats"
@@ -10,18 +10,23 @@ import (
 // findPhaseOutliers is the start-level = phase instantiation of
 // Algorithm 1: per-sensor point outliers, support from the redundant
 // sensor group, global score from the upward pass.
-func findPhaseOutliers(h *Hierarchy, opts Options, rep *Report) error {
+func findPhaseOutliers(h *Hierarchy, opts Options, keep *topK) error {
 	scores, err := h.phaseLevelScores()
 	if err != nil {
 		return err
 	}
-	// Walk sensors in sorted order so the outlier and warning lists are
-	// deterministic — map iteration order must not leak into reports.
+	// Walk sensors in sorted order so the outlier list is deterministic
+	// — map iteration order must not leak into reports.
 	sensors := make([]string, 0, len(scores))
 	for sensor := range scores {
 		sensors = append(sensors, sensor)
 	}
-	sort.Strings(sensors)
+	slices.Sort(sensors)
+	// No level lies below the phase level: the global score has no down
+	// pass, hence no warnings, and depends on the job alone. It is
+	// computed on a job's first finding and reused for the rest.
+	confs := make([]confirmations, len(h.Machine.Jobs))
+	known := make([]bool, len(h.Machine.Jobs))
 	for _, sensor := range sensors {
 		ss := scores[sensor]
 		for i, z := range ss {
@@ -32,22 +37,22 @@ func findPhaseOutliers(h *Hierarchy, opts Options, rep *Report) error {
 			if err != nil {
 				return err
 			}
-			support := phaseSupport(h, scores, sensor, i, opts)
-			gs, seen, warns, err := globalScore(h, LevelPhase, jobIdx, sensor, opts)
-			if err != nil {
-				return err
+			if !known[jobIdx] {
+				confs[jobIdx], _, err = globalScore(h, LevelPhase, jobIdx, sensor, opts)
+				if err != nil {
+					return err
+				}
+				known[jobIdx] = true
 			}
-			rep.Outliers = append(rep.Outliers, Outlier{
+			keep.add(&Outlier{
 				Level:       LevelPhase,
 				Sensor:      sensor,
 				Index:       i,
 				JobIndex:    jobIdx,
-				GlobalScore: gs,
+				GlobalScore: confs[jobIdx].score(),
 				Outlierness: Outlierness(z, opts.PhaseThreshold),
-				Support:     support,
-				SeenAt:      seen,
-			})
-			rep.Warnings = append(rep.Warnings, warns...)
+				Support:     phaseSupport(h, scores, sensor, i, opts),
+			}, confs[jobIdx])
 		}
 	}
 	return nil
@@ -97,7 +102,7 @@ func phaseSupport(h *Hierarchy, scores map[string][]float64, sensor string, idx 
 }
 
 // findJobOutliers starts Algorithm 1 at the job level.
-func findJobOutliers(h *Hierarchy, opts Options, rep *Report) error {
+func findJobOutliers(h *Hierarchy, opts Options, keep *topK, rep *Report) error {
 	scores, err := h.jobLevelScores()
 	if err != nil {
 		return err
@@ -106,27 +111,26 @@ func findJobOutliers(h *Hierarchy, opts Options, rep *Report) error {
 		if z < opts.JobThreshold {
 			continue
 		}
-		gs, seen, warns, err := globalScore(h, LevelJob, jobIdx, "", opts)
+		conf, warns, err := globalScore(h, LevelJob, jobIdx, "", opts)
 		if err != nil {
 			return err
 		}
-		rep.Outliers = append(rep.Outliers, Outlier{
+		keep.add(&Outlier{
 			Level:       LevelJob,
 			Index:       jobIdx,
 			JobIndex:    jobIdx,
-			GlobalScore: gs,
+			GlobalScore: conf.score(),
 			Outlierness: Outlierness(z, opts.JobThreshold),
 			// Job vectors have no redundant counterpart in this plant;
 			// support stays 0 at this level.
-			SeenAt: seen,
-		})
+		}, conf)
 		rep.Warnings = append(rep.Warnings, warns...)
 	}
 	return nil
 }
 
 // findEnvOutliers starts Algorithm 1 at the environment level.
-func findEnvOutliers(h *Hierarchy, opts Options, rep *Report) error {
+func findEnvOutliers(h *Hierarchy, opts Options, keep *topK, rep *Report) error {
 	scores, err := h.envLevelScores()
 	if err != nil {
 		return err
@@ -139,20 +143,19 @@ func findEnvOutliers(h *Hierarchy, opts Options, rep *Report) error {
 		if err != nil {
 			return err
 		}
-		gs, seen, warns, err := globalScore(h, LevelEnvironment, jobIdx, "room-temp", opts)
+		conf, warns, err := globalScore(h, LevelEnvironment, jobIdx, "room-temp", opts)
 		if err != nil {
 			return err
 		}
-		rep.Outliers = append(rep.Outliers, Outlier{
+		keep.add(&Outlier{
 			Level:       LevelEnvironment,
 			Sensor:      "room-temp",
 			Index:       i,
 			JobIndex:    jobIdx,
-			GlobalScore: gs,
+			GlobalScore: conf.score(),
 			Outlierness: Outlierness(z, opts.EnvThreshold),
 			Support:     envSupport(h, i, opts),
-			SeenAt:      seen,
-		})
+		}, conf)
 		rep.Warnings = append(rep.Warnings, warns...)
 	}
 	return nil
@@ -182,7 +185,7 @@ func envSupport(h *Hierarchy, idx int, opts Options) float64 {
 }
 
 // findLineOutliers starts Algorithm 1 at the production-line level.
-func findLineOutliers(h *Hierarchy, opts Options, rep *Report) error {
+func findLineOutliers(h *Hierarchy, opts Options, keep *topK, rep *Report) error {
 	scores, err := h.lineLevelScores()
 	if err != nil {
 		return err
@@ -191,19 +194,18 @@ func findLineOutliers(h *Hierarchy, opts Options, rep *Report) error {
 		if z < opts.LineThreshold {
 			continue
 		}
-		gs, seen, warns, err := globalScore(h, LevelProductionLine, jobIdx, "", opts)
+		conf, warns, err := globalScore(h, LevelProductionLine, jobIdx, "", opts)
 		if err != nil {
 			return err
 		}
-		rep.Outliers = append(rep.Outliers, Outlier{
+		keep.add(&Outlier{
 			Level:       LevelProductionLine,
 			Index:       jobIdx,
 			JobIndex:    jobIdx,
-			GlobalScore: gs,
+			GlobalScore: conf.score(),
 			Outlierness: Outlierness(z, opts.LineThreshold),
 			Support:     lineSupport(h, jobIdx, opts),
-			SeenAt:      seen,
-		})
+		}, conf)
 		rep.Warnings = append(rep.Warnings, warns...)
 	}
 	return nil
@@ -252,7 +254,7 @@ func lineSupport(h *Hierarchy, jobIdx int, opts Options) float64 {
 
 // findProductionOutliers starts Algorithm 1 at the production level:
 // is this machine an outlier among all machines?
-func findProductionOutliers(h *Hierarchy, opts Options, rep *Report) error {
+func findProductionOutliers(h *Hierarchy, opts Options, keep *topK, rep *Report) error {
 	scores, idx, err := h.productionLevelScores()
 	if err != nil {
 		return err
@@ -279,19 +281,18 @@ func findProductionOutliers(h *Hierarchy, opts Options, rep *Report) error {
 	if !found {
 		jobIdx = 0
 	}
-	gs, seen, warns, err := globalScore(h, LevelProduction, jobIdx, "", opts)
+	conf, warns, err := globalScore(h, LevelProduction, jobIdx, "", opts)
 	if err != nil {
 		return err
 	}
-	rep.Outliers = append(rep.Outliers, Outlier{
+	keep.add(&Outlier{
 		Level:       LevelProduction,
 		Index:       idx,
 		JobIndex:    jobIdx,
-		GlobalScore: gs,
+		GlobalScore: conf.score(),
 		Outlierness: Outlierness(z, opts.ProductionThreshold),
 		Support:     0,
-		SeenAt:      seen,
-	})
+	}, conf)
 	rep.Warnings = append(rep.Warnings, warns...)
 	return nil
 }

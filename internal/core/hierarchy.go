@@ -140,13 +140,12 @@ func (h *Hierarchy) phaseLevelScores() (map[string][]float64, error) {
 	if h.phaseScores != nil {
 		return h.phaseScores, nil
 	}
-	stream, err := h.Machine.PhaseStream()
-	if err != nil {
-		return nil, err
-	}
-	jobs := h.Machine.Jobs
-	out := make(map[string][]float64, len(stream.Dims))
 	if h.NaivePhase {
+		stream, err := h.Machine.PhaseStream()
+		if err != nil {
+			return nil, err
+		}
+		out := make(map[string][]float64, len(stream.Dims))
 		for _, dim := range stream.Dims {
 			z := stats.RobustZScores(dim.Values)
 			scores := make([]float64, len(z))
@@ -158,23 +157,48 @@ func (h *Hierarchy) phaseLevelScores() (map[string][]float64, error) {
 		h.phaseScores = out
 		return out, nil
 	}
-	for _, dim := range stream.Dims {
-		isTemp := dim.Name == "temp-a" || dim.Name == "temp-b"
-		n := dim.Len()
-		adj := make([]float64, n)
-		for i, v := range dim.Values {
-			if isTemp {
+	jobs := h.Machine.Jobs
+	streamLen := 0 // every phase recording of every job, end to end
+	for _, job := range jobs {
+		for _, ph := range job.Phases {
+			streamLen += ph.Sensors.Len()
+		}
+	}
+	out := make(map[string][]float64, len(plant.SensorNames))
+	// One buffer serves every sensor in turn: its level-1 stream is
+	// gathered from the job phases, referenced to the setpoint in place
+	// and scored from there.
+	adj := make([]float64, 0, streamLen)
+	col := make([]float64, 0, len(jobs))
+	scratch := make([]float64, len(jobs))
+	n := 0
+	for k, name := range plant.SensorNames {
+		adj = adj[:0]
+		for _, job := range jobs {
+			for _, ph := range job.Phases {
+				for _, dim := range ph.Sensors.Dims {
+					if dim.Name == name {
+						adj = append(adj, dim.Values...)
+					}
+				}
+			}
+		}
+		if k == 0 {
+			n = len(adj)
+		} else if len(adj) != n {
+			// The aligned-stream invariant PhaseStream enforces.
+			return nil, fmt.Errorf("%w: dim %q has %d samples, want %d", timeseries.ErrMismatch, name, len(adj), n)
+		}
+		if name == "temp-a" || name == "temp-b" {
+			for i := range adj {
 				ji := i / h.perJob
 				if ji >= len(jobs) {
 					ji = len(jobs) - 1
 				}
-				v -= jobs[ji].Setup[2] // reference to the job setpoint
+				adj[i] -= jobs[ji].Setup[2] // reference to the job setpoint
 			}
-			adj[i] = v
 		}
 		scores := make([]float64, n)
-		col := make([]float64, 0, len(jobs))
-		scratch := make([]float64, len(jobs))
 		for pos := 0; pos < h.perJob && pos < n; pos++ {
 			col = col[:0]
 			for i := pos; i < n; i += h.perJob {
@@ -194,7 +218,7 @@ func (h *Hierarchy) phaseLevelScores() (map[string][]float64, error) {
 				scores[i] = d / mad
 			}
 		}
-		out[dim.Name] = scores
+		out[name] = scores
 	}
 	h.phaseScores = out
 	return out, nil
@@ -329,6 +353,9 @@ func (h *Hierarchy) softSupport(sensor string, idx int, threshold float64) (bool
 func Outlierness(z, threshold float64) float64 {
 	if z < 0 {
 		z = 0
+	}
+	if math.IsInf(z, 1) {
+		return 1 // the limit; Inf/(Inf+threshold) is NaN
 	}
 	return z / (z + threshold)
 }

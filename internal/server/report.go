@@ -3,7 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/parallel"
@@ -68,7 +68,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request, ps *plantS
 			missing = append(missing, m)
 		}
 	}
-	sort.Strings(missing) // the response lists them by name, not registration order
+	slices.Sort(missing) // the response lists them by name, not registration order
 
 	reports, err := ps.reportsFor(machines, level, s.opts)
 	if err != nil {
@@ -97,8 +97,14 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request, ps *plantS
 		}
 	}
 	resp.TotalOutliers = len(all)
-	sort.SliceStable(all, func(i, j int) bool {
-		return core.RankLess(all[i].outlier, all[j].outlier)
+	slices.SortStableFunc(all, func(a, b tagged) int {
+		switch {
+		case core.RankLess(a.outlier, b.outlier):
+			return -1
+		case core.RankLess(b.outlier, a.outlier):
+			return 1
+		}
+		return 0
 	})
 	if topK < len(all) {
 		all = all[:topK]

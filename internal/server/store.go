@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -223,7 +223,7 @@ func buildMachine(topo Topology, lineID, machineID string, ms *machineStore, job
 	for id, js := range ms.jobsByID {
 		jobs = append(jobs, namedJob{jobNames.Name(id), js})
 	}
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].name < jobs[j].name })
+	slices.SortFunc(jobs, func(a, b namedJob) int { return strings.Compare(a.name, b.name) })
 
 	m := &plant.Machine{ID: machineID, Line: lineID}
 	offset := 0
