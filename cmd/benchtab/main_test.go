@@ -1,14 +1,9 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("nope", 1, ""); err == nil {
+	if err := run("nope", 1); err == nil {
 		t.Fatal("want error for unknown experiment")
 	}
 }
@@ -17,29 +12,8 @@ func TestRunSingleExperiments(t *testing.T) {
 	// fig2 and fig3 are the fast ones; they exercise the full job
 	// dispatch path.
 	for _, exp := range []string{"fig2", "fig3"} {
-		if err := run(exp, 1, ""); err != nil {
+		if err := run(exp, 1); err != nil {
 			t.Fatalf("%s: %v", exp, err)
 		}
-	}
-}
-
-func TestRunWritesJSONBaseline(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	if err := run("fig2", 1, path); err != nil {
-		t.Fatal(err)
-	}
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got benchBaseline
-	if err := json.Unmarshal(buf, &got); err != nil {
-		t.Fatalf("baseline is not valid JSON: %v", err)
-	}
-	if got.Seed != 1 || got.GoMaxProcs < 1 {
-		t.Fatalf("bad metadata: %+v", got)
-	}
-	if len(got.Records) != 1 || got.Records[0].Experiment != "fig2" || got.Records[0].Seconds < 0 {
-		t.Fatalf("bad records: %+v", got.Records)
 	}
 }

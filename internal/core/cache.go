@@ -15,10 +15,10 @@ var errMissingRoomTemp = errors.New("core: environment series missing room-temp"
 // memo is a resettable once: each getter fills its entry exactly once
 // between invalidations, holding the entry lock across both the fill
 // and the read so a concurrent reset+refill can never race a reader.
-// Unlike sync.Once it can be reset, which is what lets the serving
-// layer roll new data into a live cache without rebuilding the
-// untouched entries. Refills always allocate fresh slices, so values
-// returned before a reset stay valid for their holders.
+// Unlike sync.Once it can be reset, which is what lets a caller roll
+// new data into a live cache without rebuilding the untouched entries.
+// Refills always allocate fresh slices, so values returned before a
+// reset stay valid for their holders.
 type memo struct {
 	mu   sync.Mutex
 	done bool
@@ -52,11 +52,13 @@ func (m *memo) reset() {
 // inside lineSupport. All methods are safe for concurrent use; the
 // parallel experiment engine evaluates machines on one shared cache.
 //
-// For incremental serving the cache is additionally *invalidatable*:
-// Rebind swaps in a new plant snapshot (dropping the plant-spanning
-// production entry), InvalidateEnv drops the environment tracker, and
-// InvalidateMachine drops one machine's line scores — so a roll-up
-// after fresh data never recomputes untouched subtrees.
+// The cache is additionally *invalidatable*: Rebind swaps in a new
+// plant snapshot (dropping the plant-spanning production entry),
+// InvalidateEnv drops the environment tracker, and InvalidateMachine
+// drops one machine's line scores, so a roll-forward after fresh data
+// recomputes only the changed subtrees. The serving layer does not use
+// this — it builds a fresh cache per data revision — and the rebound
+// replay benchmark (bench/replay.go) does.
 type PlantCache struct {
 	mu    sync.Mutex // guards plant pointer and the line map
 	plant *plant.Plant

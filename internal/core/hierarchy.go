@@ -86,9 +86,9 @@ func (h *Hierarchy) SamplesPerJob() int { return h.perJob }
 // scores (environment, line, production) always re-pull from the cache
 // — which serves them memoized when their subtree is untouched. The
 // machine-local memos (phase profile scores, job scores, soft-sensor
-// models) survive when the snapshot reuses the same machine object,
-// which is how the serving layer avoids re-profiling machines that
-// received no new data.
+// models) survive when the snapshot reuses the same machine object.
+// The serving layer builds fresh hierarchies per data revision; the
+// rebound replay benchmark (bench/replay.go) is what calls this.
 func (h *Hierarchy) Rebind(p *plant.Plant, cache *PlantCache) error {
 	m, err := p.MachineByID(h.Machine.ID)
 	if err != nil {

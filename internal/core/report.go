@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
+
+	"repro/pkg/hod/wire"
 )
 
 // RankLess is the paper's combined-importance order: global score
@@ -29,6 +32,39 @@ func Rank(outliers []Outlier) []Outlier {
 	out := append([]Outlier(nil), outliers...)
 	sort.SliceStable(out, func(i, j int) bool { return RankLess(out[i], out[j]) })
 	return out
+}
+
+// MachineOutlier is one entry of a fleet-wide ranking: an outlier and
+// the machine whose report found it.
+type MachineOutlier struct {
+	Machine string
+	Outlier Outlier
+}
+
+// RankFleet ranks per-machine reports fleet-wide; reports[i] belongs to
+// machines[i]. Every outlier is tagged with its machine and the list is
+// stable-sorted by RankLess, so equal triples keep machine order and,
+// within a machine, report order. The fleet's total is len(ranked).
+// The warnings come back tagged as well, in machine order.
+func RankFleet(machines []string, reports []*Report) (ranked []MachineOutlier, warnings []wire.FleetWarning) {
+	for i, rep := range reports {
+		for _, o := range rep.Outliers {
+			ranked = append(ranked, MachineOutlier{Machine: machines[i], Outlier: o})
+		}
+		for _, w := range rep.Warnings {
+			warnings = append(warnings, wire.FleetWarning{Machine: machines[i], Reason: w.Reason})
+		}
+	}
+	slices.SortStableFunc(ranked, func(a, b MachineOutlier) int {
+		switch {
+		case RankLess(a.Outlier, b.Outlier):
+			return -1
+		case RankLess(b.Outlier, a.Outlier):
+			return 1
+		}
+		return 0
+	})
+	return ranked, warnings
 }
 
 // Classify applies the decision rule evaluated in EXPERIMENTS.md: an

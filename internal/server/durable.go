@@ -162,7 +162,6 @@ type (
 		Cells           [][]snapCell  // phase id → sensor id → cube cell; only phases holding samples have any
 	}
 	snapMachine struct {
-		Rev      uint64
 		Jobs     []snapJob           // ascending Job
 		Leaves   []stats.OnlineState // phase id*len(Topo.Sensors) + sensor id
 		Trackers []stats.EWMAState   // sensor id
@@ -173,7 +172,6 @@ type (
 
 		Machines []snapMachine // by machine id
 		Env      [][]float64   // environment sensor id → samples
-		EnvRev   uint64
 
 		DataRev, Accepted, Received, Rejected, Shed uint64
 
@@ -192,7 +190,10 @@ func cmpJob(a, b snapJob) int { return cmp.Compare(a.Job, b.Job) }
 // and cube cells in keyed lists snapState has no field for; the untagged
 // gob before it starts with gob's own length prefix — is refused with
 // errSnapFormat instead of decoding into a plant that silently lacks
-// them.
+// them. Earlier format-2 writers also stored per-machine and
+// environment revision counters; gob skips stream fields snapState
+// lacks, and nothing read them but the report path, so those payloads
+// load unchanged.
 const snapFormat = 2
 
 var (
@@ -561,7 +562,7 @@ func (ps *plantState) captureState() *snapState {
 	for mid, ms := range ps.mstores {
 		ms.mu.Lock()
 		sm := snapMachine{
-			Rev: ms.rev, Jobs: make([]snapJob, 0, len(ms.jobsByID)),
+			Jobs:   make([]snapJob, 0, len(ms.jobsByID)),
 			Leaves: make([]stats.OnlineState, len(ms.leaves)), Trackers: make([]stats.EWMAState, len(ms.trackers)),
 		}
 		for i := range ms.leaves {
@@ -593,7 +594,6 @@ func (ps *plantState) captureState() *snapState {
 		st.Machines[mid] = sm
 	}
 	ps.env.mu.Lock()
-	st.EnvRev = ps.env.rev
 	st.Env = cloneSeries(ps.env.bufs)
 	ps.env.mu.Unlock()
 	st.Alerts = ps.recentAlerts(0)
@@ -620,7 +620,6 @@ func (ps *plantState) applyState(st *snapState) {
 	ps.in.jobs = intern.NewDyn(st.JobInterns)
 	for mid, sm := range st.Machines {
 		ms := ps.mstores[mid]
-		ms.rev = sm.Rev
 		for i, lf := range sm.Leaves {
 			ms.leaves[i] = stats.OnlineFromState(lf)
 		}
@@ -649,7 +648,6 @@ func (ps *plantState) applyState(st *snapState) {
 			}
 		}
 	}
-	ps.env.rev = st.EnvRev
 	copy(ps.env.bufs, cloneSeries(st.Env))
 	ps.dataRev.Store(st.DataRev)
 	ps.accepted.Store(st.Accepted)
@@ -802,11 +800,11 @@ func (ps *plantState) foldResolved(refs []recordRef, rejected int) {
 func (ps *plantState) applyJobMetas(metas []JobMeta) {
 	changed := false
 	for _, m := range metas {
-		ms := ps.machines[m.Machine]
-		if ms == nil {
+		id, ok := ps.in.machines.ID(m.Machine)
+		if !ok {
 			continue // only a replayed entry can name one: handleJobs filters
 		}
-		if ms.setMeta(ps.in.jobs.Intern(m.Job), m) {
+		if ps.mstores[id].setMeta(ps.in.jobs.Intern(m.Job), m) {
 			changed = true
 		}
 	}

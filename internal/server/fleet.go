@@ -14,7 +14,6 @@ import (
 	"repro/internal/plant"
 	"repro/internal/stats"
 	"repro/internal/stream"
-	"repro/internal/timeseries"
 	"repro/pkg/hod/wire"
 )
 
@@ -62,22 +61,21 @@ type shard struct {
 type Alert = wire.Alert
 
 // plantState is the serving state of one registered plant: sharded
-// ingest on the write side, an incrementally maintained plant snapshot
-// plus hierarchy/report caches on the read side.
+// ingest into the machine stores on the write side, one report view
+// per data revision on the read side.
 type plantState struct {
 	topo Topology
 
 	// in is the interned identifier universe assigned at registration
-	// (plus the growable job table); mstores mirrors machines by
-	// interned machine id, and shardOf precomputes each machine's
+	// (plus the growable job table); mstores holds each machine's store
+	// at its interned machine id, and shardOf precomputes each machine's
 	// pipeline index so routing never hashes a string per record.
 	in      *plantInterns
 	shardOf []int32
 
-	machines map[string]*machineStore
-	mstores  []*machineStore
-	env      *envStore
-	dataRev  atomic.Uint64
+	mstores []*machineStore
+	env     *envStore
+	dataRev atomic.Uint64
 
 	shards []*shard
 	wg     sync.WaitGroup
@@ -105,19 +103,25 @@ type plantState struct {
 	// without a data dir): per-shard WALs plus snapshot state.
 	dur *plantDur
 
-	// Read side, all guarded by reportMu: the assembled snapshot, the
-	// revision it reflects, per-machine build revisions and built
-	// machine objects, the shared PlantCache, per-machine hierarchies,
-	// and the per-(machine, level) report cache.
-	reportMu     sync.Mutex
-	assembled    *plant.Plant
-	assembledRev uint64
-	machineRevAt map[string]uint64
-	envRevAt     uint64
-	built        map[string]*plant.Machine
-	cache        *core.PlantCache
-	hier         map[string]*core.Hierarchy
-	reports      map[reportKey]*core.Report
+	// reportMu guards view, the read side at the newest data revision
+	// a report asked for.
+	reportMu sync.Mutex
+	view     *reportView
+}
+
+// reportView is everything a report reads at one data revision: the
+// plant assembled from the stores, the PlantCache its hierarchies
+// share, the hierarchies built so far and the per-(machine, level)
+// reports computed so far. snapshot builds it whole when the revision
+// moves and drops it whole at the next one. Nothing in it is carried
+// across revisions: a report runs Algorithm 1's upward pass through
+// plant-wide levels, so any change to the data can change any report.
+type reportView struct {
+	rev     uint64
+	plant   *plant.Plant
+	cache   *core.PlantCache
+	hier    map[string]*core.Hierarchy
+	reports map[reportKey]*core.Report
 }
 
 type reportKey struct {
@@ -129,20 +133,13 @@ const alertRingCap = 512
 
 func newPlantState(topo Topology) *plantState {
 	ps := &plantState{
-		topo:         topo,
-		in:           newPlantInterns(topo),
-		machines:     make(map[string]*machineStore),
-		env:          newEnvStore(len(topo.EnvSensors)),
-		machineRevAt: make(map[string]uint64),
-		built:        make(map[string]*plant.Machine),
-		hier:         make(map[string]*core.Hierarchy),
-		reports:      make(map[reportKey]*core.Report),
+		topo: topo,
+		in:   newPlantInterns(topo),
+		env:  newEnvStore(len(topo.EnvSensors)),
 	}
 	ps.mstores = make([]*machineStore, ps.in.machines.Len())
-	for id, m := range ps.in.machines.Names() {
-		ms := newMachineStore(ps.in.machineLine[id], int32(id), len(topo.Phases), len(topo.Sensors))
-		ps.machines[m] = ms
-		ps.mstores[id] = ms
+	for id := range ps.mstores {
+		ps.mstores[id] = newMachineStore(ps.in.machineLine[id], int32(id), len(topo.Phases), len(topo.Sensors))
 	}
 	return ps
 }
@@ -412,119 +409,64 @@ func (ps *plantState) recentAlerts(limit int) []Alert {
 	return out
 }
 
-// snapshot brings the assembled plant up to the current data revision,
-// rebuilding only machines whose stores advanced and invalidating
-// exactly the matching cache subtrees. Callers must hold reportMu.
-func (ps *plantState) snapshot() error {
+// snapshot returns the report view of the current data revision,
+// assembling the plant from the stores when the revision has moved
+// since the last build. The revision is read before the stores are: a
+// fold that lands during the build advances it past the view's, so the
+// next report builds again. Callers must hold reportMu.
+func (ps *plantState) snapshot() (*reportView, error) {
 	cur := ps.dataRev.Load()
-	if ps.assembled != nil && cur == ps.assembledRev {
-		return nil
+	if ps.view != nil && ps.view.rev == cur {
+		return ps.view, nil
 	}
-
-	envChanged := false
-
 	var lines []*plant.Line
 	for _, tl := range ps.topo.Lines {
 		line := &plant.Line{ID: tl.ID}
 		for _, mID := range tl.Machines {
-			st := ps.machines[mID]
-			st.mu.Lock()
-			rev := st.rev
-			st.mu.Unlock()
-			if rev == 0 {
-				continue // no data yet
-			}
-			if prev, ok := ps.built[mID]; ok && ps.machineRevAt[mID] == rev {
-				line.Machines = append(line.Machines, prev)
-				continue
-			}
-			m, rev, err := buildMachine(ps.topo, tl.ID, mID, st, ps.in.jobs)
+			id, _ := ps.in.machines.ID(mID)
+			m, err := buildMachine(ps.topo, tl.ID, mID, ps.mstores[id], ps.in.jobs)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if m == nil {
-				continue
+			if m != nil {
+				line.Machines = append(line.Machines, m)
 			}
-			ps.built[mID] = m
-			ps.machineRevAt[mID] = rev
-			if ps.cache != nil {
-				ps.cache.InvalidateMachine(mID)
-			}
-			line.Machines = append(line.Machines, m)
 		}
 		if len(line.Machines) > 0 {
 			lines = append(lines, line)
 		}
 	}
-
-	var env *timeseries.MultiSeries
-	if ps.assembled != nil {
-		env = ps.assembled.Environment
-	}
-	if envRev := ps.envRev(); env == nil || envRev != ps.envRevAt {
-		var err error
-		env, ps.envRevAt, err = ps.env.build(ps.topo)
-		if err != nil {
-			return err
-		}
-		envChanged = true
-	}
-
-	p := &plant.Plant{Lines: lines, Environment: env, Start: assemblyStart, Step: time.Second}
-	if ps.cache == nil {
-		ps.cache = core.NewPlantCache(p)
-	} else {
-		ps.cache.Rebind(p)
-	}
-	if envChanged {
-		ps.cache.InvalidateEnv()
-	}
-
-	// Rebind surviving hierarchies; drop ones whose machine vanished.
-	for id, h := range ps.hier {
-		if _, err := p.MachineByID(id); err != nil {
-			delete(ps.hier, id)
-			continue
-		}
-		if err := h.Rebind(p, ps.cache); err != nil {
-			delete(ps.hier, id)
-		}
-	}
-	// Any report depends on the cross-level upward pass, so any data
-	// change invalidates all of them.
-	ps.reports = make(map[reportKey]*core.Report)
-	ps.assembled = p
-	ps.assembledRev = cur
-	return nil
-}
-
-func (ps *plantState) envRev() uint64 {
-	ps.env.mu.Lock()
-	defer ps.env.mu.Unlock()
-	return ps.env.rev
-}
-
-// hierarchyFor returns (building if needed) the hierarchy of one
-// machine over the current snapshot. Callers must hold reportMu and
-// have called snapshot.
-func (ps *plantState) hierarchyFor(machineID string) (*core.Hierarchy, error) {
-	if h, ok := ps.hier[machineID]; ok {
-		return h, nil
-	}
-	h, err := core.NewHierarchyWithCache(ps.assembled, machineID, ps.cache)
+	env, err := ps.env.build(ps.topo)
 	if err != nil {
 		return nil, err
 	}
-	ps.hier[machineID] = h
+	p := &plant.Plant{Lines: lines, Environment: env, Start: assemblyStart, Step: time.Second}
+	ps.view = &reportView{
+		rev: cur, plant: p, cache: core.NewPlantCache(p),
+		hier: make(map[string]*core.Hierarchy), reports: make(map[reportKey]*core.Report),
+	}
+	return ps.view, nil
+}
+
+// hierarchyFor returns (building if needed) the hierarchy of one
+// machine over the view. Callers must hold reportMu.
+func (v *reportView) hierarchyFor(machineID string) (*core.Hierarchy, error) {
+	if h, ok := v.hier[machineID]; ok {
+		return h, nil
+	}
+	h, err := core.NewHierarchyWithCache(v.plant, machineID, v.cache)
+	if err != nil {
+		return nil, err
+	}
+	v.hier[machineID] = h
 	return h, nil
 }
 
-// activeMachines lists the machines present in the current snapshot,
-// in topology order. Callers must hold reportMu and have called
-// snapshot.
-func (ps *plantState) activeMachines() []string {
+// activeMachines lists the machines present in the view, in topology
+// order.
+func (v *reportView) activeMachines() []string {
 	var out []string
-	for _, l := range ps.assembled.Lines {
+	for _, l := range v.plant.Lines {
 		for _, m := range l.Machines {
 			out = append(out, m.ID)
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -18,8 +19,11 @@ import (
 // whose name sorts into the middle of the job list (job-101 < job-11).
 // Every job after it then sits off the per-position phase profile and
 // Algorithm 1 picks its bounded list out of thousands of candidates.
-// /report per machine must be byte-identical to Algorithm 1 run offline
-// on the plant the server assembled, then and once the job completes.
+// /report per machine, at every start level, must be byte-identical to
+// Algorithm 1 run offline on the plant the server assembled: then, once
+// the job completes, after one corrected sample on one machine, and
+// after a POST /jobs that moves one job's setpoint — each of which
+// must advance the data revision the report is built at.
 func TestReportWithJobInProgressMatchesOffline(t *testing.T) {
 	cfg := plant.Config{
 		Seed: 24, Lines: 1, MachinesPerLine: 2, JobsPerMachine: 101,
@@ -108,51 +112,89 @@ func TestReportWithJobInProgressMatchesOffline(t *testing.T) {
 		return p
 	}
 
+	var lastRev uint64
 	check := func(stage string, p *plant.Plant) {
 		t.Helper()
+		var rev uint64
 		cache := core.NewPlantCache(p)
 		for _, m := range p.Machines() {
 			h, err := core.NewHierarchyWithCache(p, m.ID, cache)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := core.FindHierarchicalOutliers(h, core.LevelPhase, core.Options{MaxOutliers: maxOutliers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rep.Outliers) != maxOutliers {
-				t.Fatalf("%s, machine %s: %d outliers, want the bound %d to bite", stage, m.ID, len(rep.Outliers), maxOutliers)
-			}
-			resp, err := http.Get(ts.URL + "/v1/plants/" + plantID + "/report?level=phase&top=40&machine=" + m.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := mustStatus(t, resp, http.StatusOK)
-			var rev struct {
-				DataRevision uint64 `json:"data_revision"`
-			}
-			if err := json.Unmarshal(got, &rev); err != nil {
-				t.Fatal(err)
-			}
-			want := ReportResponse{
-				Plant: plantID, Level: core.LevelPhase.String(), Machines: []string{m.ID},
-				TotalOutliers: len(rep.Outliers), TopK: 40, DataRevision: rev.DataRevision,
-			}
-			for _, o := range core.Rank(rep.Outliers)[:40] {
-				want.Outliers = append(want.Outliers, FleetOutlier{Machine: m.ID, Outlier: o.Wire()})
-			}
-			wantBody, err := json.Marshal(want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, append(wantBody, '\n')) {
-				t.Fatalf("%s, machine %s: /report differs from the offline run\nhttp:    %s\noffline: %s", stage, m.ID, got, wantBody)
+			for _, level := range core.Levels() {
+				rep, err := core.FindHierarchicalOutliers(h, level, core.Options{MaxOutliers: maxOutliers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if level == core.LevelPhase && len(rep.Outliers) != maxOutliers {
+					t.Fatalf("%s, machine %s: %d outliers, want the bound %d to bite", stage, m.ID, len(rep.Outliers), maxOutliers)
+				}
+				resp, err := http.Get(fmt.Sprintf("%s/v1/plants/%s/report?level=%d&top=40&machine=%s", ts.URL, plantID, level, m.ID))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := mustStatus(t, resp, http.StatusOK)
+				var body struct {
+					DataRevision uint64 `json:"data_revision"`
+				}
+				if err := json.Unmarshal(got, &body); err != nil {
+					t.Fatal(err)
+				}
+				if rev == 0 {
+					rev = body.DataRevision
+				}
+				if body.DataRevision != rev || rev <= lastRev {
+					t.Fatalf("%s, machine %s, level %s: data_revision %d (stage opened at %d, previous stage %d)",
+						stage, m.ID, level, body.DataRevision, rev, lastRev)
+				}
+				ranked := core.Rank(rep.Outliers)
+				ranked = ranked[:min(40, len(ranked))]
+				want := ReportResponse{
+					Plant: plantID, Level: level.String(), Machines: []string{m.ID},
+					TotalOutliers: len(rep.Outliers), TopK: 40, DataRevision: rev,
+					Outliers: make([]FleetOutlier, 0, len(ranked)),
+				}
+				for _, o := range ranked {
+					want.Outliers = append(want.Outliers, FleetOutlier{Machine: m.ID, Outlier: o.Wire()})
+				}
+				for _, w := range rep.Warnings {
+					want.Warnings = append(want.Warnings, FleetWarning{Machine: m.ID, Reason: w.Reason})
+				}
+				wantBody, err := json.Marshal(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, append(wantBody, '\n')) {
+					t.Fatalf("%s, machine %s, level %s: /report differs from the offline run\nhttp:    %s\noffline: %s", stage, m.ID, level, got, wantBody)
+				}
 			}
 		}
+		lastRev = rev
 	}
 
 	stream(head)
 	check("job in progress", assembled(stopAt))
 	stream(tail)
-	check("job complete", assembled(phases*samples))
+	p := assembled(phases * samples)
+	check("job complete", p)
+
+	// One corrected sample on one machine: the record is not fresh, but
+	// its value reaches the next view.
+	m := p.Machines()[0]
+	job := m.Jobs[3]
+	dim := job.Phases[1].Sensors.Dims[0]
+	dim.Values[2] += 40
+	stream([]Record{{Machine: m.ID, Job: job.ID, Phase: job.Phases[1].Name, Sensor: dim.Name, T: 2, Value: dim.Values[2]}})
+	check("one corrected sample", p)
+
+	// A new nozzle setpoint (Setup[2]) for one job, nothing else.
+	job = p.Machines()[1].Jobs[7]
+	job.Setup[2] += 5
+	moved, err := json.Marshal([]JobMeta{{Machine: job.Machine, Job: job.ID, Setup: job.Setup, CAQ: job.CAQ, Faulty: job.Faulty}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustStatus(t, postRetry(t, ts.URL+"/v1/plants/"+plantID+"/jobs", "application/json", moved), http.StatusAccepted)
+	check("one setpoint moved", p)
 }

@@ -37,25 +37,19 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request, ps *plantS
 
 	ps.reportMu.Lock()
 	defer ps.reportMu.Unlock()
-	if err := ps.snapshot(); err != nil {
+	v, err := ps.snapshot()
+	if err != nil {
 		writeErr(w, http.StatusInternalServerError, wire.CodeInternal, "snapshot: "+err.Error())
 		return
 	}
-	if ps.assembled == nil || len(ps.assembled.Lines) == 0 {
+	if len(v.plant.Lines) == 0 {
 		writeErr(w, http.StatusConflict, wire.CodeNoData, "no data ingested yet")
 		return
 	}
 
-	machines := ps.activeMachines()
+	machines := v.activeMachines()
 	if machineFilter != "" {
-		found := false
-		for _, id := range machines {
-			if id == machineFilter {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(machines, machineFilter) {
 			writeErr(w, http.StatusNotFound, wire.CodeUnknownMachine,
 				fmt.Sprintf("machine %q has no data (or is unregistered)", machineFilter))
 			return
@@ -64,67 +58,43 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request, ps *plantS
 	}
 	var missing []string
 	for _, m := range ps.in.machines.Names() {
-		if _, err := ps.assembled.MachineByID(m); err != nil {
+		if _, err := v.plant.MachineByID(m); err != nil {
 			missing = append(missing, m)
 		}
 	}
 	slices.Sort(missing) // the response lists them by name, not registration order
 
-	reports, err := ps.reportsFor(machines, level, s.opts)
+	reports, err := v.reportsFor(machines, level, s.opts)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, wire.CodeInternal, err.Error())
 		return
 	}
 
+	// Rank fleet-wide while still holding core.Outlier values, and
+	// convert only the top K to wire form.
+	ranked, warnings := core.RankFleet(machines, reports)
 	resp := ReportResponse{
 		Plant: ps.topo.ID, Level: level.String(), Machines: machines,
-		Missing: missing, TopK: topK, DataRevision: ps.assembledRev,
+		Missing: missing, TotalOutliers: len(ranked), TopK: topK,
+		Warnings: warnings, DataRevision: v.rev,
 	}
-	// Rank fleet-wide with the paper's comparator while still holding
-	// core.Outlier values; the stable sort keeps topology order for
-	// equal triples — deterministic responses.
-	type tagged struct {
-		machine string
-		outlier core.Outlier
-	}
-	var all []tagged
-	for i, rep := range reports {
-		for _, o := range rep.Outliers {
-			all = append(all, tagged{machines[i], o})
-		}
-		for _, warn := range rep.Warnings {
-			resp.Warnings = append(resp.Warnings, FleetWarning{Machine: machines[i], Reason: warn.Reason})
-		}
-	}
-	resp.TotalOutliers = len(all)
-	slices.SortStableFunc(all, func(a, b tagged) int {
-		switch {
-		case core.RankLess(a.outlier, b.outlier):
-			return -1
-		case core.RankLess(b.outlier, a.outlier):
-			return 1
-		}
-		return 0
-	})
-	if topK < len(all) {
-		all = all[:topK]
-	}
-	resp.Outliers = make([]FleetOutlier, len(all))
-	for i, t := range all {
-		resp.Outliers[i] = FleetOutlier{Machine: t.machine, Outlier: t.outlier.Wire()}
+	ranked = ranked[:min(topK, len(ranked))]
+	resp.Outliers = make([]FleetOutlier, len(ranked))
+	for i, t := range ranked {
+		resp.Outliers[i] = FleetOutlier{Machine: t.Machine, Outlier: t.Outlier.Wire()}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
 // reportsFor runs Algorithm 1 for each machine (parallel fan-out via
-// internal/parallel, bounded by the -workers knob), serving untouched
-// machines from the per-revision report cache.
-func (ps *plantState) reportsFor(machines []string, level core.Level, opts Options) ([]*core.Report, error) {
+// internal/parallel, bounded by the -workers knob), serving machines
+// already reported at this level from the view's memo.
+func (v *reportView) reportsFor(machines []string, level core.Level, opts Options) ([]*core.Report, error) {
 	coreOpts := core.Options{MaxOutliers: opts.MaxOutliers}
 	out := make([]*core.Report, len(machines))
 	var misses []int
 	for i, id := range machines {
-		if rep, ok := ps.reports[reportKey{id, level}]; ok {
+		if rep, ok := v.reports[reportKey{id, level}]; ok {
 			out[i] = rep
 		} else {
 			misses = append(misses, i)
@@ -136,7 +106,7 @@ func (ps *plantState) reportsFor(machines []string, level core.Level, opts Optio
 	// Hierarchies must exist before the parallel section (map writes).
 	hs := make([]*core.Hierarchy, len(misses))
 	for k, i := range misses {
-		h, err := ps.hierarchyFor(machines[i])
+		h, err := v.hierarchyFor(machines[i])
 		if err != nil {
 			return nil, err
 		}
@@ -150,7 +120,7 @@ func (ps *plantState) reportsFor(machines []string, level core.Level, opts Optio
 	}
 	for k, i := range misses {
 		out[i] = reps[k]
-		ps.reports[reportKey{machines[i], level}] = reps[k]
+		v.reports[reportKey{machines[i], level}] = reps[k]
 	}
 	return out, nil
 }

@@ -4,9 +4,10 @@
 // (backpressure surfaces as 429 + Retry-After), maintains an
 // incremental roll-up of aggregates up the
 // sensor→phase→machine→line→plant levels, and serves hierarchical
-// outlier reports computed by Algorithm 1 over an incrementally
-// assembled plant snapshot — a roll-up never recomputes untouched
-// subtrees thanks to the invalidatable core.PlantCache.
+// outlier reports computed by Algorithm 1 over one plant view per data
+// revision — assembled from the machine stores by the first report
+// after the revision moves, with its core.PlantCache, hierarchies and
+// per-(machine, level) reports memoized until the next one.
 //
 // Endpoints (all JSON unless noted):
 //
@@ -436,8 +437,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request, ps *plantSta
 	valid := metas[:0]
 	for _, m := range metas {
 		var err error
-		switch {
-		case ps.machines[m.Machine] == nil:
+		switch _, known := ps.in.machines.ID(m.Machine); {
+		case !known:
 			err = fmt.Errorf("unregistered machine %q", m.Machine)
 		case m.Job == "":
 			err = fmt.Errorf("missing job id")

