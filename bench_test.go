@@ -198,6 +198,38 @@ func BenchmarkAlg1PartialJob(b *testing.B) {
 	b.ReportMetric(float64(len(rep.Outliers)), "candidates")
 }
 
+// BenchmarkColdMachineReport measures a cold report of a whole plant
+// the size the serving benchmark reports on: 2 lines x 3 machines x 96
+// jobs x 80 samples per phase, a fresh plant cache, and Algorithm 1 at
+// the phase level for every machine with nothing memoized. The level-1
+// job-cycle profile is most of it.
+func BenchmarkColdMachineReport(b *testing.B) {
+	p, err := plant.Simulate(plant.Config{
+		Seed: 1, Lines: 2, MachinesPerLine: 3, JobsPerMachine: 96, PhaseSamples: 80,
+		FaultRate: 0.3, MeasurementErrorRate: 0.3,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	machines := p.Machines()
+	opts := core.Options{MaxOutliers: 512} // the server's default
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cache := core.NewPlantCache(p)
+		for _, m := range machines {
+			h, err := core.NewHierarchyWithCache(p, m.ID, cache)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := core.FindHierarchicalOutliers(h, core.LevelPhase, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(machines))/1e6, "ms/machine")
+}
+
 // BenchmarkDetectorsPoint measures per-detector point-scoring
 // throughput on the standard PTS workload (every PTS-capable,
 // unsupervised technique).

@@ -36,10 +36,12 @@ type Config struct {
 
 // DefaultConfig is the repo's production wiring: opMu (cluster op
 // serializers on router and server), reportMu (one report fan-out at
-// a time), snapMu (one snapshot writer at a time), and wmu (the
-// websocket write serializer — writing a frame IS the operation).
+// a time), runMu (one Algorithm 1 run per hierarchy at a time in the
+// SDK engine; the run fans its phase profile out across sensors),
+// snapMu (one snapshot writer at a time), and wmu (the websocket write
+// serializer — writing a frame IS the operation).
 var DefaultConfig = Config{
-	OpLocks: []string{"opMu", "reportMu", "snapMu", "wmu"},
+	OpLocks: []string{"opMu", "reportMu", "runMu", "snapMu", "wmu"},
 }
 
 // New builds the analyzer with an explicit config (tests use this).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/parallel"
 	"repro/internal/plant"
 	"repro/internal/softsensor"
 	"repro/internal/stats"
@@ -136,6 +137,10 @@ func (h *Hierarchy) Rebind(p *plant.Plant, cache *PlantCache) error {
 // parameter), so per-job setpoint variation does not blur the profile
 // — exactly the kind of context variable the paper says production
 // levels contribute.
+//
+// The profile is most of a cold report's cost, so the sensors are
+// scored concurrently (parallel.Map, bounded by GOMAXPROCS), each with
+// its own buffers; see sensorProfileScores.
 func (h *Hierarchy) phaseLevelScores() (map[string][]float64, error) {
 	if h.phaseScores != nil {
 		return h.phaseScores, nil
@@ -157,71 +162,77 @@ func (h *Hierarchy) phaseLevelScores() (map[string][]float64, error) {
 		h.phaseScores = out
 		return out, nil
 	}
-	jobs := h.Machine.Jobs
 	streamLen := 0 // every phase recording of every job, end to end
-	for _, job := range jobs {
+	for _, job := range h.Machine.Jobs {
 		for _, ph := range job.Phases {
 			streamLen += ph.Sensors.Len()
 		}
 	}
+	// sensorProfileScores cannot fail, so neither can the Map.
+	perSensor, _ := parallel.Map(len(plant.SensorNames), 0, func(k int) ([]float64, error) {
+		return h.sensorProfileScores(plant.SensorNames[k], streamLen), nil
+	})
 	out := make(map[string][]float64, len(plant.SensorNames))
-	// One buffer serves every sensor in turn: its level-1 stream is
-	// gathered from the job phases, referenced to the setpoint in place
-	// and scored from there.
-	adj := make([]float64, 0, streamLen)
-	col := make([]float64, 0, len(jobs))
-	scratch := make([]float64, len(jobs))
-	n := 0
+	n := len(perSensor[0])
 	for k, name := range plant.SensorNames {
-		adj = adj[:0]
-		for _, job := range jobs {
-			for _, ph := range job.Phases {
-				for _, dim := range ph.Sensors.Dims {
-					if dim.Name == name {
-						adj = append(adj, dim.Values...)
-					}
-				}
-			}
-		}
-		if k == 0 {
-			n = len(adj)
-		} else if len(adj) != n {
+		if len(perSensor[k]) != n {
 			// The aligned-stream invariant PhaseStream enforces.
-			return nil, fmt.Errorf("%w: dim %q has %d samples, want %d", timeseries.ErrMismatch, name, len(adj), n)
+			return nil, fmt.Errorf("%w: dim %q has %d samples, want %d", timeseries.ErrMismatch, name, len(perSensor[k]), n)
 		}
-		if name == "temp-a" || name == "temp-b" {
-			for i := range adj {
-				ji := i / h.perJob
-				if ji >= len(jobs) {
-					ji = len(jobs) - 1
-				}
-				adj[i] -= jobs[ji].Setup[2] // reference to the job setpoint
-			}
-		}
-		scores := make([]float64, n)
-		for pos := 0; pos < h.perJob && pos < n; pos++ {
-			col = col[:0]
-			for i := pos; i < n; i += h.perJob {
-				col = append(col, adj[i])
-			}
-			med, mad := stats.MedianMAD(col, scratch)
-			// Floor the spread: with few jobs the MAD of a quiet
-			// position underestimates the sensor noise.
-			if stats.DegenerateMAD(mad) || mad < 0.3 {
-				mad = 0.3
-			}
-			for i := pos; i < n; i += h.perJob {
-				d := adj[i] - med
-				if d < 0 {
-					d = -d
-				}
-				scores[i] = d / mad
-			}
-		}
-		out[name] = scores
+		out[name] = perSensor[k]
 	}
 	h.phaseScores = out
 	return out, nil
+}
+
+// sensorProfileScores scores one sensor's level-1 stream against the
+// job-cycle profile. The returned slice is first the stream itself,
+// gathered from the job phases: each profile column (samples pos,
+// pos+perJob, … — one per job) is copied out, referenced to its job's
+// setpoint on the way for the temperature channels, and its scores
+// then overwrite the samples it was read from.
+func (h *Hierarchy) sensorProfileScores(name string, streamLen int) []float64 {
+	jobs := h.Machine.Jobs
+	scores := make([]float64, 0, streamLen)
+	for _, job := range jobs {
+		for _, ph := range job.Phases {
+			for _, dim := range ph.Sensors.Dims {
+				if dim.Name == name {
+					scores = append(scores, dim.Values...)
+				}
+			}
+		}
+	}
+	n := len(scores)
+	setpoint := name == "temp-a" || name == "temp-b"
+	col := make([]float64, 0, len(jobs))
+	scratch := make([]float64, len(jobs))
+	for pos := 0; pos < h.perJob && pos < n; pos++ {
+		col = col[:0]
+		for i, r := pos, 0; i < n; i, r = i+h.perJob, r+1 {
+			v := scores[i]
+			if setpoint {
+				// Sample i sits in job i/perJob = r; a stream longer
+				// than the jobs' count charges the overflow to the last.
+				v -= jobs[min(r, len(jobs)-1)].Setup[2]
+			}
+			col = append(col, v)
+		}
+		med, mad := stats.MedianMAD(col, scratch)
+		// Floor the spread: with few jobs the MAD of a quiet
+		// position underestimates the sensor noise.
+		if stats.DegenerateMAD(mad) || mad < 0.3 {
+			mad = 0.3
+		}
+		for r, v := range col {
+			d := v - med
+			if d < 0 {
+				d = -d
+			}
+			scores[pos+r*h.perJob] = d / mad
+		}
+	}
+	return scores
 }
 
 // jobLevelScores runs the level-2 detector: per-column robust z over

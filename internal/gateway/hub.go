@@ -16,7 +16,6 @@ package gateway
 
 import (
 	"context"
-	"sort"
 	"sync"
 
 	"repro/pkg/hod/wire"
@@ -248,15 +247,19 @@ func coalesce(ex *wire.Event, ev wire.Event) {
 	}
 }
 
-// mergeAlerts merges two seq-ordered alert batches into a fresh slice,
-// dropping duplicate seqs (the newer copy wins).
+// mergeAlerts merges two seq-ascending alert batches (the pending
+// queue's and a newer one) into a fresh slice in one linear pass,
+// keeping one alert per seq: the newer copy wins, b's over a's and,
+// within one batch, the later over the earlier.
 func mergeAlerts(a, b []wire.Alert) []wire.Alert {
-	merged := make([]wire.Alert, 0, len(a)+len(b))
-	merged = append(merged, a...)
-	merged = append(merged, b...)
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].Seq < merged[j].Seq })
-	out := merged[:0]
-	for _, al := range merged {
+	out := make([]wire.Alert, 0, len(a)+len(b))
+	for len(a) > 0 || len(b) > 0 {
+		var al wire.Alert
+		if len(b) == 0 || (len(a) > 0 && a[0].Seq <= b[0].Seq) {
+			al, a = a[0], a[1:]
+		} else {
+			al, b = b[0], b[1:]
+		}
 		if n := len(out); n > 0 && out[n-1].Seq == al.Seq {
 			out[n-1] = al
 			continue

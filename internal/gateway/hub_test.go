@@ -3,6 +3,9 @@ package gateway
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -181,4 +184,49 @@ func TestPublishConcurrentWithSubscribeRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// sortMergeAlerts is mergeAlerts as it was before the linear merge: a
+// stable sort of both batches by seq, then one alert per seq, the
+// later copy winning. It is the oracle of the differential test.
+func sortMergeAlerts(a, b []wire.Alert) []wire.Alert {
+	merged := make([]wire.Alert, 0, len(a)+len(b))
+	merged = append(merged, a...)
+	merged = append(merged, b...)
+	sort.SliceStable(merged, func(i, j int) bool { return merged[i].Seq < merged[j].Seq })
+	out := merged[:0]
+	for _, al := range merged {
+		if n := len(out); n > 0 && out[n-1].Seq == al.Seq {
+			out[n-1] = al
+			continue
+		}
+		out = append(out, al)
+	}
+	return out
+}
+
+func TestMergeAlertsMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	// ascending draws n seqs upward from start, repeating one now and
+	// then; T tags every copy so the test sees which one survived.
+	ascending := func(list string, start uint64, n int) []wire.Alert {
+		out := make([]wire.Alert, n)
+		seq := start
+		for i := range out {
+			if i > 0 && rng.Intn(5) > 0 {
+				seq += uint64(1 + rng.Intn(3))
+			}
+			out[i] = wire.Alert{Seq: seq, Machine: list, T: i}
+		}
+		return out
+	}
+	for trial := 0; trial < 2000; trial++ {
+		a := ascending("a", uint64(rng.Intn(20)), rng.Intn(30))
+		b := ascending("b", uint64(rng.Intn(40)), rng.Intn(30))
+		got := mergeAlerts(a, b)
+		want := sortMergeAlerts(a, b)
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("trial %d: merge differs from the stable sort\n   a %v\n   b %v\n got %v\nwant %v", trial, a, b, got, want)
+		}
+	}
 }

@@ -8,62 +8,152 @@ import "math"
 // between the two selections so per-window loops allocate nothing.
 //
 // Ordering matches sort.Float64s exactly (NaNs first, then ascending),
-// so the selection-based results are bit-identical to the sorted-copy
-// implementations they replace.
+// so the selection-based results equal those of the sorted-copy
+// implementations they replace (which of two equal values lands at k,
+// -0 or +0, is as unspecified as in sort.Float64s).
+//
+// The kernel is shaped for the short columns of the level-1 phase
+// profile (one value per job, ~100 of them), where a Hoare loop
+// mispredicts a data-dependent branch on about every other element.
+// One pass moves the NaNs to the front, where they sort. The rest is a
+// Lomuto partition on a plain < whose swap is unconditional and whose
+// counter advances by the comparison's outcome, so the inner loop has
+// no branch to mispredict. A median-of-three pivot guards ordered
+// inputs, an equal-run skip keeps tied and constant columns linear,
+// and ranges of insertionMax elements or fewer finish by insertion
+// sort.
 
 // selLess is the sort.Float64s ordering: NaNs sort before everything.
 func selLess(a, b float64) bool {
 	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
 }
 
+// insertionMax is the range length below which partitioning costs
+// more than sorting what is left.
+const insertionMax = 12
+
 // SelectK partially reorders xs in place so that xs[k] holds the value
 // ascending sorting (NaNs first) would put at index k, every element
 // before index k compares ≤ it and every element after compares ≥ it.
-// It returns xs[k]. Expected O(len(xs)) via median-of-three Hoare
-// quickselect. It panics when k is out of range, as that is always a
-// programming error in this library.
+// It returns xs[k]. Expected O(len(xs)). It panics when k is out of
+// range, as that is always a programming error in this library.
 func SelectK(xs []float64, k int) float64 {
+	kth, _ := selectK(xs, k)
+	return kth
+}
+
+// selectK is SelectK that also returns below, the largest of xs[:k]
+// after the selection (NaN when k is 0): the lower middle of an even
+// median, free where the partitioning already knows it.
+func selectK(xs []float64, k int) (kth, below float64) {
 	if k < 0 || k >= len(xs) {
 		panic("stats: SelectK index out of range")
 	}
-	lo, hi := 0, len(xs)-1
-	for lo < hi {
-		// Median-of-three pivot guards against already-ordered inputs.
-		mid := lo + (hi-lo)/2
-		if selLess(xs[mid], xs[lo]) {
-			xs[mid], xs[lo] = xs[lo], xs[mid]
-		}
-		if selLess(xs[hi], xs[lo]) {
-			xs[hi], xs[lo] = xs[lo], xs[hi]
-		}
-		if selLess(xs[hi], xs[mid]) {
-			xs[hi], xs[mid] = xs[mid], xs[hi]
-		}
-		pivot := xs[mid]
-		i, j := lo, hi
-		for i <= j {
-			for selLess(xs[i], pivot) {
-				i++
-			}
-			for selLess(pivot, xs[j]) {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return xs[k]
+	nans := 0
+	for i, x := range xs {
+		if math.IsNaN(x) {
+			xs[i], xs[nans] = xs[nans], x
+			nans++
 		}
 	}
-	return xs[k]
+	if k < nans {
+		return xs[k], math.NaN()
+	}
+	return selectOrdered(xs[nans:], k-nans)
+}
+
+// selectOrdered is selectK on a slice without NaNs.
+func selectOrdered(xs []float64, k int) (kth, below float64) {
+	lo, hi := 0, len(xs)
+	for hi-lo > insertionMax {
+		// Median of three into xs[mid], then park it at the end.
+		mid, last := lo+(hi-lo)/2, hi-1
+		if xs[mid] < xs[lo] {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[last] < xs[mid] {
+			xs[last], xs[mid] = xs[mid], xs[last]
+			if xs[mid] < xs[lo] {
+				xs[mid], xs[lo] = xs[lo], xs[mid]
+			}
+		}
+		pivot := xs[mid]
+		xs[mid], xs[last] = xs[last], pivot
+		// xs[lo:s] < pivot ≤ xs[s:i]. b is set from the comparison's
+		// flag (SETcc), not a jump.
+		s := lo
+		for i := lo; i < last; i++ {
+			x := xs[i]
+			xs[i] = xs[s]
+			xs[s] = x
+			b := 0
+			if x < pivot {
+				b = 1
+			}
+			s += b
+		}
+		xs[last], xs[s] = xs[s], pivot
+		switch {
+		case k < s:
+			hi = s
+		case k == s:
+			if s == lo {
+				return pivot, lastBelow(xs, k)
+			}
+			below = xs[lo]
+			for _, x := range xs[lo+1 : s] {
+				if x > below {
+					below = x
+				}
+			}
+			return pivot, below
+		case s > lo:
+			lo = s + 1
+		default:
+			// Nothing lies below the pivot, so it is the range minimum
+			// and its ties would come off one per pass. Take the whole
+			// equal run in one: everything right of s is ≥ pivot.
+			e := s + 1
+			for i := e; i < hi; i++ {
+				x := xs[i]
+				xs[i] = xs[e]
+				xs[e] = x
+				b := 0
+				if x == pivot {
+					b = 1
+				}
+				e += b
+			}
+			if k < e {
+				return pivot, pivot // s < k, so xs[k-1] is in the run
+			}
+			lo = e
+		}
+	}
+	insertionSort(xs[lo:hi])
+	return xs[k], lastBelow(xs, k)
+}
+
+// lastBelow returns xs[k-1], or NaN when k is 0, for a selection that
+// left the largest of xs[:k] there: every range the loop narrows to
+// starts right after the previous pivot or equal run, which is the
+// largest element before it.
+func lastBelow(xs []float64, k int) float64 {
+	if k == 0 {
+		return math.NaN()
+	}
+	return xs[k-1]
+}
+
+func insertionSort(xs []float64) {
+	for i := 1; i < len(xs); i++ {
+		x := xs[i]
+		j := i
+		for ; j > 0 && x < xs[j-1]; j-- {
+			xs[j] = xs[j-1]
+		}
+		xs[j] = x
+	}
 }
 
 // MedianInPlace returns the median of xs, reordering xs in the
@@ -74,18 +164,9 @@ func MedianInPlace(xs []float64) float64 {
 	if n == 0 {
 		return math.NaN()
 	}
-	k := n / 2
-	upper := SelectK(xs, k)
+	upper, lower := selectK(xs, n/2)
 	if n%2 == 1 {
 		return upper
-	}
-	// Even n: the lower middle is the maximum of the left partition,
-	// which SelectK left holding the k smallest elements.
-	lower := xs[0]
-	for _, x := range xs[1:k] {
-		if selLess(lower, x) {
-			lower = x
-		}
 	}
 	return (lower + upper) / 2
 }

@@ -184,9 +184,9 @@ type Engine struct {
 
 	cacheOwner *Plant // plant the WithCache cache was built for
 
-	mu     sync.Mutex
-	hier   map[string]*core.Hierarchy
-	hierMu map[string]*sync.Mutex
+	mu    sync.Mutex
+	hier  map[string]*core.Hierarchy
+	runMu map[string]*sync.Mutex // per machine: one Algorithm 1 run at a time
 }
 
 // Option tunes an Engine at construction time.
@@ -239,9 +239,9 @@ func NewEngine(p *Plant, opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("hod: NewEngine needs a plant")
 	}
 	e := &Engine{
-		plant:  p,
-		hier:   map[string]*core.Hierarchy{},
-		hierMu: map[string]*sync.Mutex{},
+		plant: p,
+		hier:  map[string]*core.Hierarchy{},
+		runMu: map[string]*sync.Mutex{},
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -276,12 +276,12 @@ func (e *Engine) coreOptions() core.Options {
 }
 
 // hierarchy returns (building once) the machine's hierarchy plus its
-// per-machine lock.
+// per-machine run lock.
 func (e *Engine) hierarchy(machineID string) (*core.Hierarchy, *sync.Mutex, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if h, ok := e.hier[machineID]; ok {
-		return h, e.hierMu[machineID], nil
+		return h, e.runMu[machineID], nil
 	}
 	if _, err := e.plant.p.MachineByID(machineID); err != nil {
 		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownMachine, machineID)
@@ -291,15 +291,17 @@ func (e *Engine) hierarchy(machineID string) (*core.Hierarchy, *sync.Mutex, erro
 		return nil, nil, fmt.Errorf("%w: machine %q: %v", ErrNoData, machineID, err)
 	}
 	h.NaivePhase = e.naivePhase
-	mu := &sync.Mutex{}
+	runMu := &sync.Mutex{}
 	e.hier[machineID] = h
-	e.hierMu[machineID] = mu
-	return h, mu, nil
+	e.runMu[machineID] = runMu
+	return h, runMu, nil
 }
 
 // detectCore runs Algorithm 1 for one machine and returns the raw core
-// report. The per-machine lock serializes runs on the same hierarchy
-// (its lazy score memos are not safe to fill twice concurrently).
+// report. The per-machine run lock serializes runs on the same
+// hierarchy (its lazy score memos are not safe to fill twice
+// concurrently); it is an operation lock, held across the run's own
+// fan-out.
 func (e *Engine) detectCore(ctx context.Context, machineID string, level Level) (*core.Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -307,12 +309,12 @@ func (e *Engine) detectCore(ctx context.Context, machineID string, level Level) 
 	if !level.Valid() {
 		return nil, fmt.Errorf("%w: %d", ErrInvalidLevel, int(level))
 	}
-	h, mu, err := e.hierarchy(machineID)
+	h, runMu, err := e.hierarchy(machineID)
 	if err != nil {
 		return nil, err
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	runMu.Lock()
+	defer runMu.Unlock()
 	return core.FindHierarchicalOutliers(h, core.Level(level), e.coreOptions())
 }
 
