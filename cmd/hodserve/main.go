@@ -75,23 +75,6 @@ import (
 	"repro/pkg/hod/wire"
 )
 
-// Timeouts of every listener hodserve opens. A client gets
-// readHeaderTimeout to send its request headers, and a keep-alive
-// connection idle for idleTimeout is closed. ReadTimeout and
-// WriteTimeout stay zero on purpose: /v1/subscribe, /v1/events and
-// streamed ingest bodies are long-lived.
-const (
-	readHeaderTimeout = 10 * time.Second
-	idleTimeout       = 2 * time.Minute
-)
-
-// newHTTPServer is the one constructor of hodserve's http.Servers
-// (node, router and pprof listeners), so all three carry the timeouts
-// above.
-func newHTTPServer(addr string, h http.Handler) *http.Server {
-	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
-}
-
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "report fan-out width (0 = GOMAXPROCS)")
@@ -211,7 +194,7 @@ func startPprof(addr string) (stop func(), err error) {
 	if err != nil {
 		return nil, fmt.Errorf("pprof listener: %w", err)
 	}
-	srv := newHTTPServer("", mux)
+	srv := gateway.NewHTTPServer("", mux)
 	go func() {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintln(os.Stderr, "hodserve: pprof:", err)
@@ -259,7 +242,7 @@ func runRouter(addr string, peers []wire.ClusterNode, drainTimeout time.Duration
 	if err := rt.Bootstrap(); err != nil {
 		return fmt.Errorf("bootstrapping cluster: %w", err)
 	}
-	httpSrv := newHTTPServer(addr, rt.Handler())
+	httpSrv := gateway.NewHTTPServer(addr, rt.Handler())
 
 	errc := make(chan error, 1)
 	go func() {
@@ -290,7 +273,7 @@ func run(addr string, opts server.Options, drainTimeout time.Duration) error {
 	if err := srv.Open(); err != nil {
 		return fmt.Errorf("recovering %s: %w", opts.DataDir, err)
 	}
-	httpSrv := newHTTPServer(addr, srv.Handler())
+	httpSrv := gateway.NewHTTPServer(addr, srv.Handler())
 
 	errc := make(chan error, 1)
 	go func() {

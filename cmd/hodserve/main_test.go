@@ -4,13 +4,16 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"repro/internal/gateway"
 )
 
-// TestHTTPServerTimeouts pins the timeouts every hodserve listener gets:
-// bounded header reads and idle keep-alives, and no read or write
-// deadline, which would cut push subscriptions and streamed ingest.
+// TestHTTPServerTimeouts pins the timeouts every hodserve listener gets
+// from gateway.NewHTTPServer: bounded header reads and idle
+// keep-alives, and no read or write deadline, which would cut push
+// subscriptions and streamed ingest.
 func TestHTTPServerTimeouts(t *testing.T) {
-	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	srv := gateway.NewHTTPServer("127.0.0.1:0", http.NotFoundHandler())
 	for _, c := range []struct {
 		name      string
 		got, want time.Duration

@@ -159,10 +159,13 @@ func (rt *Router) Handler() http.Handler { return rt.mux }
 // ServeListener serves the router on ln in the background; the
 // returned stop closes the HTTP listener.
 func (rt *Router) ServeListener(ln net.Listener) (stop func()) {
-	hs := &http.Server{Handler: rt.mux}
+	hs := rt.httpServer()
 	go hs.Serve(ln)
 	return func() { rt.Close(); hs.Close() }
 }
+
+// httpServer builds the http.Server ServeListener runs.
+func (rt *Router) httpServer() *http.Server { return gateway.NewHTTPServer("", rt.mux) }
 
 // Bootstrap pushes the initial membership to every peer and adopts the
 // plants they already hold (a router restart must not forget the

@@ -31,6 +31,24 @@ func Chain(mws ...Middleware) Middleware {
 	}
 }
 
+// Timeouts of every listener the serving layer opens. A client gets
+// readHeaderTimeout to send its request headers, and a keep-alive
+// connection idle for idleTimeout is closed. ReadTimeout and
+// WriteTimeout stay zero on purpose: /v1/subscribe, /v1/events and
+// streamed ingest bodies are long-lived.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer is the one constructor of the serving layer's
+// http.Servers — Server.ServeListener, Router.ServeListener and
+// hodserve's node, router and pprof listeners — so every one of them
+// carries the timeouts above.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // WriteError emits the v1 error envelope
 // {"error":{"code":"...","message":"..."}} — the one encoding the
 // middleware chain and the server handlers share.

@@ -1,12 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -228,11 +231,21 @@ func binaryTestRecords() []Record {
 	}
 }
 
+// resolveAsFrame resolves records the way handleIngest resolves a
+// decoded text body: built into one frame, then through resolveFrame.
+func resolveAsFrame(ps *plantState, recs []Record) ([]recordRef, int, string) {
+	fb := wire.NewFrameBuilder()
+	for _, rec := range recs {
+		fb.Add(rec)
+	}
+	return ps.resolveFrame(nil, fb.Frame(), new(resolveScratch))
+}
+
 // foldPlant resolves and folds records straight through the shard fold
 // path (no workers), the way WAL replay does.
 func foldPlant(t testing.TB, ps *plantState, recs []Record) {
 	t.Helper()
-	refs, rejected, firstErr := ps.resolveRecords(nil, recs)
+	refs, rejected, firstErr := resolveAsFrame(ps, recs)
 	if rejected > 0 {
 		t.Fatalf("resolve rejected %d: %s", rejected, firstErr)
 	}
@@ -266,10 +279,12 @@ func TestSnapshotRoundTripPreservesJobInterns(t *testing.T) {
 	}
 }
 
-// TestIngestSteadyStateZeroAlloc is the zero-alloc gate of the tentpole:
+// TestIngestSteadyStateZeroAlloc is the zero-alloc gate of admission:
 // once identifiers are interned and cells exist, both halves of the
 // per-record hot path — batch resolution at admission and the shard
-// fold — run without a single allocation.
+// fold — run without a single allocation. Admission is gated in both
+// of its shapes: a text body's records built into a frame and
+// resolved, and a decoded binary frame resolved.
 func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 	ps := newPlantState(binaryTestTopo())
 	ps.makeShards(1, 8)
@@ -278,14 +293,21 @@ func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 	foldPlant(t, ps, recs) // warm: intern jobs, materialise cells
 
 	refs := make([]recordRef, 0, len(recs))
-	if n := testing.AllocsPerRun(1000, func() {
+	fb := wire.NewFrameBuilder()
+	var sc resolveScratch
+	buildAndResolve := func() {
+		fb.Reset()
+		for _, rec := range recs {
+			fb.Add(rec)
+		}
 		var rejected int
-		refs, rejected, _ = ps.resolveRecords(refs[:0], recs)
+		refs, rejected, _ = ps.resolveFrame(refs[:0], fb.Frame(), &sc)
 		if rejected > 0 {
 			t.Fatal("resolution rejected a warm record")
 		}
-	}); n != 0 {
-		t.Fatalf("resolveRecords allocates %v per run on interned identifiers, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, buildAndResolve); n != 0 {
+		t.Fatalf("build + resolveFrame allocates %v per run on interned identifiers, want 0", n)
 	}
 
 	if n := testing.AllocsPerRun(1000, func() {
@@ -294,22 +316,130 @@ func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("foldRefs allocates %v per run on an idempotent replay, want 0", n)
 	}
 
-	// The binary admission path too: a decoded frame of known
-	// identifiers resolves without allocating per record (the dictionary
-	// tables are per frame, amortised across its records).
 	fr := new(wire.Frame)
 	body := binaryBody(t, recs)
 	if err := wire.DecodeFrame(body[4:], fr); err != nil {
 		t.Fatal(err)
 	}
-	perRecord := testing.AllocsPerRun(1000, func() {
+	if n := testing.AllocsPerRun(1000, func() {
 		var rejected int
-		refs, rejected, _ = ps.resolveFrame(refs[:0], fr)
+		refs, rejected, _ = ps.resolveFrame(refs[:0], fr, &sc)
 		if rejected > 0 {
 			t.Fatal("frame resolution rejected a warm record")
 		}
-	}) / float64(len(recs))
-	if perRecord > 2 {
-		t.Fatalf("resolveFrame allocates %v per record, want the dictionary cost amortised (<= 2)", perRecord)
+	}); n != 0 {
+		t.Fatalf("resolveFrame allocates %v per run on a decoded frame, want 0", n)
 	}
+}
+
+// TestOutOfRangeTimestampRejectedByEveryCodec posts one record whose t
+// does not fit the frame's i32 column, as NDJSON and as a binary frame.
+// Both must reject it with the same reason, and neither may store it at
+// a wrapped t (1<<32+3 wraps to 3).
+func TestOutOfRangeTimestampRejectedByEveryCodec(t *testing.T) {
+	srv := New(Options{Shards: 2, QueueDepth: 16, Workers: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	const plantID = "plant-t-range"
+	register(t, ts.URL, Topology{
+		ID:      plantID,
+		Lines:   []TopoLine{{ID: "line-0", Machines: []string{"m-0"}}},
+		Phases:  []string{"heat"},
+		Sensors: []string{"temp"},
+	})
+	ingestURL := ts.URL + "/v1/plants/" + plantID + "/ingest"
+	rec := func(tt int) Record {
+		return Record{Machine: "m-0", Job: "job-1", Phase: "heat", Sensor: "temp", T: tt, Value: 20}
+	}
+	ack := func(contentType string, body []byte) wire.IngestAck {
+		t.Helper()
+		var a wire.IngestAck
+		if err := json.Unmarshal(mustStatus(t, postRetry(t, ingestURL, contentType, body), http.StatusAccepted), &a); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+
+	bad := []Record{rec(1<<32 + 3)}
+	text := ack("application/x-ndjson", ndjson(bad))
+	bin := ack(wire.ContentTypeBinary, binaryBody(t, bad))
+	if text != bin {
+		t.Fatalf("codecs disagree on an out-of-range t:\nndjson: %+v\nbinary: %+v", text, bin)
+	}
+	if text.Records != 0 || text.Rejected != 1 || !strings.Contains(text.FirstRejection, "out of [0, ") {
+		t.Fatalf("ack %+v, want 0 admitted / 1 rejected for the t range", text)
+	}
+
+	// Two valid samples; a wrapped third would show in the roll-up.
+	ack("application/x-ndjson", ndjson([]Record{rec(0), rec(1)}))
+	waitDrained(t, ts.URL, plantID, 2)
+	var roll wire.RollupResponse
+	if err := json.Unmarshal(getBody(t, ts.URL+"/v1/plants/"+plantID+"/rollup?level=plant"), &roll); err != nil {
+		t.Fatal(err)
+	}
+	if len(roll.Nodes) != 1 || roll.Nodes[0].Count != 2 {
+		t.Fatalf("plant roll-up %+v, want exactly the 2 valid samples", roll.Nodes)
+	}
+}
+
+// FuzzIngestBodies is the differential of the ingest codecs: the same
+// batch sent as an NDJSON body and as a binary body must admit the same
+// refs, reject the same records with the same first reason, and grow
+// the job table in the same order. Each side runs on a fresh plant
+// through decodeBody, the handler's decode-and-resolve step. The
+// binary body encodes the records the NDJSON body decodes to, since
+// JSON rewrites invalid UTF-8. JSON cannot carry a non-finite value;
+// such a batch enters the text side after the decoder (as a CSV body
+// would deliver it) and the binary side unchanged.
+func FuzzIngestBodies(f *testing.F) {
+	f.Add("m0", "job-a", "heat", "temp", false, int64(0), 1.5)
+	f.Add("ghost", "job-a", "heat", "temp", false, int64(1), 2.0)
+	f.Add("m1", "job\x01ctl", "cool", "pressure", false, int64(2), 3.0)
+	f.Add("m0", "", "heat", "temp", false, int64(3), 4.0)
+	f.Add("m0", "job-a", "heat", "temp", false, int64(4), math.NaN())
+	f.Add("m0", "job-a", "heat", "temp", false, int64(1<<32+3), 5.0)
+	f.Add("m0", "job-a", "heat", "temp", false, int64(-1), 6.0)
+	f.Add("m1", "job-b", "bake", "humidity", false, int64(5), 7.0)
+	f.Add("", "", "", "hall-temp", true, int64(6), 19.0)
+	f.Add("", "", "", "temp", true, int64(7), math.Inf(1))
+	f.Add("m0", "job-\xff", "heat", "temp", false, int64(8), 8.0)
+	f.Fuzz(func(t *testing.T, machine, job, phase, sensor string, env bool, ts int64, value float64) {
+		fuzzed := Record{Machine: machine, Job: job, Phase: phase, Sensor: sensor, T: int(ts), Value: value, Env: env}
+		recs := []Record{
+			fuzzed,
+			{Machine: "m0", Job: job, Phase: "heat", Sensor: "temp", T: 0, Value: 1},
+			{Machine: "m1", Job: "job-x", Phase: phase, Sensor: sensor, T: 1, Value: value},
+			{Machine: machine, Job: "job-y", Phase: "cool", Sensor: "pressure", T: int(ts), Value: 2},
+			{Env: !env, Machine: "m1", Job: job, Phase: "cool", Sensor: sensor, T: 2, Value: 3},
+		}
+		textPS, binPS := newPlantState(binaryTestTopo()), newPlantState(binaryTestTopo())
+		var text resolvedBody
+		if body, err := wire.EncodeNDJSON(recs); err == nil {
+			var code string
+			if text, code, err = textPS.decodeBody(bytes.NewReader(body), "application/x-ndjson", ingestScratchPool.New().(*ingestScratch)); err != nil {
+				t.Fatalf("NDJSON body refused (%s): %v", code, err)
+			}
+			if recs, err = wire.DecodeNDJSON(bytes.NewReader(body)); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			text.records = len(recs)
+			text.refs, text.rejected, text.firstErr = resolveAsFrame(textPS, recs)
+		}
+		body, err := wire.EncodeBinary(recs)
+		if err != nil {
+			t.Skip("batch does not fit a frame:", err)
+		}
+		bin, code, err := binPS.decodeBody(bytes.NewReader(body), wire.ContentTypeBinary, ingestScratchPool.New().(*ingestScratch))
+		if err != nil {
+			t.Fatalf("binary body refused (%s): %v", code, err)
+		}
+		if !reflect.DeepEqual(text, bin) {
+			t.Fatalf("codecs disagree on %+v:\nndjson: %+v\nbinary: %+v", recs, text, bin)
+		}
+		if tj, bj := textPS.in.jobs.Names(), binPS.in.jobs.Names(); !slices.Equal(tj, bj) {
+			t.Fatalf("job tables diverged: ndjson %q, binary %q", tj, bj)
+		}
+	})
 }

@@ -568,7 +568,8 @@ func (t *walTailer) apply(ps *plantState, payload []byte) error {
 		return fmt.Errorf("%w: %v", errShipCorrupt, err)
 	}
 	if f != nil {
-		refs, rejected, _ := ps.resolveFrame(nil, f)
+		var sc resolveScratch
+		refs, rejected, _ := ps.resolveFrame(nil, f, &sc)
 		ps.rejected.Add(uint64(rejected))
 		return t.admitRefs(ps, refs)
 	}

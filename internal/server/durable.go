@@ -80,9 +80,8 @@ func decodeWalEntry(p []byte) (*wire.Frame, []JobMeta, error) {
 }
 
 // The admit path re-encodes each chunk into a frame without touching
-// the JSON machinery; the scratch encode buffers and the replay-side
-// decode frames are pooled so a steady ingest load allocates per batch,
-// not per byte. wal.Log.AppendBuffered copies the payload synchronously,
+// the JSON machinery; its scratch encode buffers and frames are pooled
+// so a steady ingest load allocates per batch, not per byte. wal.Log.AppendBuffered copies the payload synchronously,
 // which is what makes returning the buffer to the pool right after the
 // append safe.
 var (
@@ -278,10 +277,10 @@ func validateState(st *snapState) error {
 	nMachines, nJobs, nPhases, nSensors := len(machines), len(st.JobInterns), len(topo.Phases), len(topo.Sensors)
 
 	for _, name := range st.JobInterns {
-		if name == "" {
+		switch err := checkJobName(name); {
+		case err == errMissingJob:
 			return fmt.Errorf("snapshot: empty job id")
-		}
-		if err := wire.ValidIdent("job", name); err != nil {
+		case err != nil:
 			return fmt.Errorf("snapshot: %w", err)
 		}
 	}
@@ -776,7 +775,8 @@ func (ps *plantState) replayPayload(p []byte) error {
 		return err
 	}
 	if f != nil {
-		refs, rejected, _ := ps.resolveFrame(nil, f)
+		var sc resolveScratch
+		refs, rejected, _ := ps.resolveFrame(nil, f, &sc)
 		ps.foldResolved(refs, rejected)
 	}
 	ps.applyJobMetas(metas)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -16,11 +17,14 @@ import (
 // shard queues, the idempotent store, the roll-up leaves and the OLAP
 // cube as a recordRef of ids; strings are resolved exactly once per
 // batch at admission and translated back only to answer a query or
-// raise an alert. Job-id assignment may differ between runs (shards
-// intern concurrently). That is safe because an id never travels
-// without the dictionary that defines it: responses carry names, a WAL
-// frame carries its own dictionaries, and a snapshot carries the
-// topology and the job table its ids index.
+// raise an alert. Every batch reaches admission as a wire.Frame —
+// binary bodies as decoded, text bodies built into one after decoding,
+// WAL entries as logged — so resolveFrame is the one place the
+// admission contract is written. Job-id assignment may differ between
+// runs (shards intern concurrently). That is safe because an id never
+// travels without the dictionary that defines it: responses carry
+// names, a WAL frame carries its own dictionaries, and a snapshot
+// carries the topology and the job table its ids index.
 
 // recordRef is one admitted record in interned form. machine == -1
 // marks an environment record, whose sensor indexes the environment
@@ -71,117 +75,64 @@ func newPlantInterns(topo Topology) *plantInterns {
 	return in
 }
 
-// resolveRecord vets one decoded record against the topology and
-// interns it — the checks (and their messages) are the admission
-// contract the text codecs had before interning existed.
-func (ps *plantState) resolveRecord(rec Record) (recordRef, error) {
-	if rec.T < 0 || rec.T >= maxSampleIndex {
-		return recordRef{}, fmt.Errorf("t %d out of [0, %d)", rec.T, maxSampleIndex)
+// errMissingJob is the job-name rule's verdict on an empty name.
+var errMissingJob = errors.New("missing job id")
+
+// checkJobName is the job-name rule shared by record admission, job
+// metadata and snapshot validation. Job ids are the one free-form cube
+// coordinate (the others are vetted at registration): a control
+// character could collide with the cube's reserved key separator and
+// silently merge cells, and every name interned into the job table
+// must reload from a snapshot.
+func checkJobName(name string) error {
+	if name == "" {
+		return errMissingJob
 	}
-	if math.IsNaN(rec.Value) || math.IsInf(rec.Value, 0) {
-		return recordRef{}, fmt.Errorf("non-finite value")
-	}
-	if rec.Env {
-		id, ok := ps.in.envSensors.ID(rec.Sensor)
+	return wire.ValidIdent("job", name)
+}
+
+// resolveScratch holds resolveFrame's per-frame dictionary
+// translations: one plant id per frame-local entry, -1 where the plant
+// does not know the name. The caller owns it and reuses it across
+// frames, which is what keeps a warm resolution allocation-free.
+type resolveScratch struct {
+	machines, phases, sensors, envSensors, jobs []int32
+	jobErrs                                     []error
+}
+
+// lookupAll translates one frame dictionary through an intern table
+// onto dst.
+func lookupAll(dst []int32, t *intern.Table, names []string) []int32 {
+	dst = dst[:0]
+	for _, name := range names {
+		id, ok := t.ID(name)
 		if !ok {
-			return recordRef{}, fmt.Errorf("unknown environment sensor %q", rec.Sensor)
+			id = -1
 		}
-		return recordRef{machine: -1, job: -1, phase: -1, sensor: id, t: int32(rec.T), value: rec.Value}, nil
+		dst = append(dst, id)
 	}
-	mid, ok := ps.in.machines.ID(rec.Machine)
-	if !ok {
-		return recordRef{}, fmt.Errorf("unregistered machine %q", rec.Machine)
-	}
-	if rec.Job == "" {
-		return recordRef{}, fmt.Errorf("missing job id")
-	}
-	// Job ids are the one free-form cube coordinate (the others are
-	// vetted at registration): a control character could collide with
-	// the cube's reserved key separator and silently merge cells.
-	if err := wire.ValidIdent("job", rec.Job); err != nil {
-		return recordRef{}, err
-	}
-	pid, ok := ps.in.phases.ID(rec.Phase)
-	if !ok {
-		return recordRef{}, fmt.Errorf("unknown phase %q", rec.Phase)
-	}
-	sid, ok := ps.in.sensors.ID(rec.Sensor)
-	if !ok {
-		return recordRef{}, fmt.Errorf("unknown sensor %q", rec.Sensor)
-	}
-	return recordRef{
-		machine: mid, job: ps.in.jobs.Intern(rec.Job), phase: pid, sensor: sid,
-		t: int32(rec.T), value: rec.Value,
-	}, nil
+	return dst
 }
 
-// resolveRecords resolves a decoded batch onto dst, returning the
-// rejected count and the first rejection reason.
-func (ps *plantState) resolveRecords(dst []recordRef, recs []Record) ([]recordRef, int, string) {
-	rejected := 0
-	firstErr := ""
-	for _, rec := range recs {
-		ref, err := ps.resolveRecord(rec)
-		if err != nil {
-			rejected++
-			if firstErr == "" {
-				firstErr = err.Error()
-			}
-			continue
-		}
-		dst = append(dst, ref)
-	}
-	return dst, rejected, firstErr
-}
-
-// resolveFrame resolves one structurally valid binary frame onto dst.
-// The frame-local dictionaries are resolved once; records referencing
-// an unresolvable name (or failing the t/finiteness gates) are
-// rejected per record with the same reasons the text path produces.
-func (ps *plantState) resolveFrame(dst []recordRef, f *wire.Frame) ([]recordRef, int, string) {
-	machineIDs := make([]int32, len(f.Machines))
-	for i, name := range f.Machines {
-		if id, ok := ps.in.machines.ID(name); ok {
-			machineIDs[i] = id
-		} else {
-			machineIDs[i] = -1
-		}
-	}
-	phaseIDs := make([]int32, len(f.Phases))
-	for i, name := range f.Phases {
-		if id, ok := ps.in.phases.ID(name); ok {
-			phaseIDs[i] = id
-		} else {
-			phaseIDs[i] = -1
-		}
-	}
-	sensorIDs := make([]int32, len(f.Sensors))
-	envIDs := make([]int32, len(f.Sensors))
-	for i, name := range f.Sensors {
-		if id, ok := ps.in.sensors.ID(name); ok {
-			sensorIDs[i] = id
-		} else {
-			sensorIDs[i] = -1
-		}
-		if id, ok := ps.in.envSensors.ID(name); ok {
-			envIDs[i] = id
-		} else {
-			envIDs[i] = -1
-		}
-	}
+// resolveFrame vets one structurally valid frame against the topology
+// and interns it onto dst, returning the rejected count and the first
+// rejection reason. It is the one admission check: binary bodies, text
+// bodies (built into a frame after decoding), WAL replay and the
+// standby tailer all resolve here. The frame-local dictionaries are
+// resolved once; a record referencing an unresolvable name, or failing
+// the t/finiteness gates, is rejected on its own.
+func (ps *plantState) resolveFrame(dst []recordRef, f *wire.Frame, sc *resolveScratch) ([]recordRef, int, string) {
+	sc.machines = lookupAll(sc.machines, ps.in.machines, f.Machines)
+	sc.phases = lookupAll(sc.phases, ps.in.phases, f.Phases)
+	sc.sensors = lookupAll(sc.sensors, ps.in.sensors, f.Sensors)
+	sc.envSensors = lookupAll(sc.envSensors, ps.in.envSensors, f.Sensors)
 	// Job names are vetted per dictionary entry but interned lazily:
 	// an entry only referenced by otherwise-rejected records must not
 	// grow the plant's job table.
-	jobIDs := make([]int32, len(f.Jobs))
-	jobErrs := make([]error, len(f.Jobs))
-	for i, name := range f.Jobs {
-		jobIDs[i] = -1
-		switch {
-		case name == "":
-			jobErrs[i] = fmt.Errorf("missing job id")
-		default:
-			jobErrs[i] = wire.ValidIdent("job", name)
-		}
+	sc.jobs, sc.jobErrs = sc.jobs[:0], sc.jobErrs[:0]
+	for _, name := range f.Jobs {
+		sc.jobs = append(sc.jobs, -1)
+		sc.jobErrs = append(sc.jobErrs, checkJobName(name))
 	}
 
 	rejected := 0
@@ -204,7 +155,7 @@ func (ps *plantState) resolveFrame(dst []recordRef, f *wire.Frame) ([]recordRef,
 			continue
 		}
 		if f.Machine[i] < 0 {
-			eid := envIDs[f.Sensor[i]]
+			eid := sc.envSensors[f.Sensor[i]]
 			if eid < 0 {
 				reject(fmt.Errorf("unknown environment sensor %q", f.Sensors[f.Sensor[i]]))
 				continue
@@ -212,30 +163,30 @@ func (ps *plantState) resolveFrame(dst []recordRef, f *wire.Frame) ([]recordRef,
 			dst = append(dst, recordRef{machine: -1, job: -1, phase: -1, sensor: eid, t: t, value: v})
 			continue
 		}
-		mid := machineIDs[f.Machine[i]]
+		mid := sc.machines[f.Machine[i]]
 		if mid < 0 {
 			reject(fmt.Errorf("unregistered machine %q", f.Machines[f.Machine[i]]))
 			continue
 		}
 		ji := f.Job[i]
-		if jobErrs[ji] != nil {
-			reject(jobErrs[ji])
+		if sc.jobErrs[ji] != nil {
+			reject(sc.jobErrs[ji])
 			continue
 		}
-		pid := phaseIDs[f.Phase[i]]
+		pid := sc.phases[f.Phase[i]]
 		if pid < 0 {
 			reject(fmt.Errorf("unknown phase %q", f.Phases[f.Phase[i]]))
 			continue
 		}
-		sid := sensorIDs[f.Sensor[i]]
+		sid := sc.sensors[f.Sensor[i]]
 		if sid < 0 {
 			reject(fmt.Errorf("unknown sensor %q", f.Sensors[f.Sensor[i]]))
 			continue
 		}
-		if jobIDs[ji] < 0 {
-			jobIDs[ji] = ps.in.jobs.Intern(f.Jobs[ji])
+		if sc.jobs[ji] < 0 {
+			sc.jobs[ji] = ps.in.jobs.Intern(f.Jobs[ji])
 		}
-		dst = append(dst, recordRef{machine: mid, job: jobIDs[ji], phase: pid, sensor: sid, t: t, value: v})
+		dst = append(dst, recordRef{machine: mid, job: sc.jobs[ji], phase: pid, sensor: sid, t: t, value: v})
 	}
 	return dst, rejected, firstErr
 }

@@ -4,6 +4,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/gateway"
@@ -138,5 +139,17 @@ func TestHealthzOpenWithAuth(t *testing.T) {
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/plants", nil))
 	if rec.Code != 401 {
 		t.Fatalf("unauthenticated list = %d, want 401", rec.Code)
+	}
+}
+
+// TestServeListenerTimeouts pins that the in-process listener gets the
+// serving layer's header-read and idle timeouts, like hodserve's.
+func TestServeListenerTimeouts(t *testing.T) {
+	s := New(Options{})
+	defer s.Close()
+	hs := s.httpServer()
+	if hs.ReadHeaderTimeout != 10*time.Second || hs.IdleTimeout != 2*time.Minute {
+		t.Fatalf("ServeListener server has ReadHeaderTimeout %v, IdleTimeout %v; want 10s, 2m",
+			hs.ReadHeaderTimeout, hs.IdleTimeout)
 	}
 }

@@ -1,6 +1,9 @@
 // Package server is the fleet serving layer: a stdlib-only HTTP
 // service that ingests live sensor samples for a registered fleet of
-// plants, shards them onto per-machine pipelines with bounded queues
+// plants, admits every batch as wire frames through one resolver
+// (resolveFrame: text bodies are built into a frame after decoding,
+// binary bodies, WAL replay and the standby tailer arrive as frames),
+// shards them onto per-machine pipelines with bounded queues
 // (backpressure surfaces as 429 + Retry-After), maintains an
 // incremental roll-up of aggregates up the
 // sensor→phase→machine→line→plant levels, and serves hierarchical
@@ -181,10 +184,13 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // examples — host a fleet endpoint without touching net/http
 // themselves.
 func (s *Server) ServeListener(ln net.Listener) (stop func()) {
-	hs := &http.Server{Handler: s.mux}
+	hs := s.httpServer()
 	go hs.Serve(ln)
 	return func() { hs.Close() }
 }
+
+// httpServer builds the http.Server ServeListener runs.
+func (s *Server) httpServer() *http.Server { return gateway.NewHTTPServer("", s.mux) }
 
 // Close stops admission and drains every plant's shard queues; safe to
 // call once the HTTP listener has shut down (or is about to — new
@@ -312,69 +318,96 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, wire.PlantList{Plants: ids})
 }
 
-// handleIngest admits one sample batch: decode, resolve against the
-// plant's intern tables, shard, and enqueue. A full shard queue rejects
-// the whole batch with 429 — the store is idempotent (set-at-index), so
-// the client simply retries the batch after Retry-After seconds. Binary
-// bodies (application/x-hod-batch) skip the Record materialisation
-// entirely: each frame's dictionaries resolve straight to interned ids.
+// ingestScratch is the per-request working set of handleIngest: the
+// frame a binary body decodes into, the builder a text body's records
+// are built into, and the resolver's dictionary translations. Pooled,
+// so a steady ingest load reuses their backing arrays.
+type ingestScratch struct {
+	frame   wire.Frame
+	builder *wire.FrameBuilder
+	resolve resolveScratch
+}
+
+var ingestScratchPool = sync.Pool{New: func() any {
+	return &ingestScratch{builder: wire.NewFrameBuilder()}
+}}
+
+// resolvedBody is one ingest body after admission: the refs of its
+// admitted records, how many records it carried, and the rejections.
+type resolvedBody struct {
+	refs     []recordRef
+	records  int
+	rejected int
+	firstErr string
+}
+
+// decodeBody decodes one ingest body and resolves it against the
+// plant's intern tables. Every body resolves as wire frames: a binary
+// body (application/x-hod-batch) frame by frame as it is read, a text
+// body (NDJSON, JSON array, CSV) after its records are decoded and
+// built into one frame. A body that does not decode is refused whole,
+// with the wire code to answer it with: bad_frame for a binary body,
+// bad_request for a text one.
+func (ps *plantState) decodeBody(body io.Reader, contentType string, sc *ingestScratch) (resolvedBody, string, error) {
+	var rb resolvedBody
+	if mt, _, err := mime.ParseMediaType(contentType); err != nil || mt != wire.ContentTypeBinary {
+		recs, err := wire.DecodeRecords(body, contentType)
+		if err != nil {
+			return rb, wire.CodeBadRequest, err
+		}
+		sc.builder.Reset()
+		for _, rec := range recs {
+			sc.builder.Add(rec)
+		}
+		rb.records = len(recs)
+		rb.refs, rb.rejected, rb.firstErr = ps.resolveFrame(nil, sc.builder.Frame(), &sc.resolve)
+		return rb, "", nil
+	}
+	for {
+		err := wire.ReadFrame(body, &sc.frame)
+		if err == io.EOF {
+			return rb, "", nil
+		}
+		if err != nil {
+			// A malformed frame is a protocol violation, not a bad
+			// record: reject the request before admitting anything,
+			// like a bad NDJSON line rejects its whole body.
+			return rb, wire.CodeBadFrame, err
+		}
+		if rb.records += sc.frame.Len(); rb.records > wire.MaxBatchRecords {
+			return rb, wire.CodeBadFrame, fmt.Errorf("batch exceeds the %d-record cap", wire.MaxBatchRecords)
+		}
+		var rejected int
+		var firstErr string
+		rb.refs, rejected, firstErr = ps.resolveFrame(rb.refs, &sc.frame, &sc.resolve)
+		rb.rejected += rejected
+		if rb.firstErr == "" {
+			rb.firstErr = firstErr
+		}
+	}
+}
+
+// handleIngest admits one sample batch: decode and resolve
+// (decodeBody), shard, and enqueue. A full shard queue rejects the
+// whole batch with 429 — the store is idempotent (set-at-index), so the
+// client simply retries the batch after Retry-After seconds.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, ps *plantState) {
 	if s.closed.Load() {
 		writeErr(w, http.StatusServiceUnavailable, wire.CodeShuttingDown, "server is shutting down")
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	var (
-		refs     []recordRef
-		rejected int
-		firstErr string
-	)
-	if mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type")); err == nil && mt == wire.ContentTypeBinary {
-		fr := walFramePool.Get().(*wire.Frame)
-		defer walFramePool.Put(fr)
-		total := 0
-		for {
-			err := wire.ReadFrame(body, fr)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				// A malformed frame is a protocol violation, not a bad
-				// record: reject the request before admitting anything,
-				// like a bad NDJSON line rejects its whole body.
-				writeErr(w, http.StatusBadRequest, wire.CodeBadFrame, err.Error())
-				return
-			}
-			if total += fr.Len(); total > wire.MaxBatchRecords {
-				writeErr(w, http.StatusBadRequest, wire.CodeBadFrame,
-					fmt.Sprintf("batch exceeds the %d-record cap", wire.MaxBatchRecords))
-				return
-			}
-			var rej int
-			var ferr string
-			refs, rej, ferr = ps.resolveFrame(refs, fr)
-			rejected += rej
-			if firstErr == "" {
-				firstErr = ferr
-			}
-		}
-		if total == 0 {
-			writeJSON(w, http.StatusOK, wire.IngestAck{})
-			return
-		}
-	} else {
-		recs, err := wire.DecodeRecords(body, r.Header.Get("Content-Type"))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
-			return
-		}
-		if len(recs) == 0 {
-			writeJSON(w, http.StatusOK, wire.IngestAck{})
-			return
-		}
-		refs, rejected, firstErr = ps.resolveRecords(nil, recs)
+	sc := ingestScratchPool.Get().(*ingestScratch)
+	defer ingestScratchPool.Put(sc)
+	rb, code, err := ps.decodeBody(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), r.Header.Get("Content-Type"), sc)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, code, err.Error())
+		return
 	}
-	ps.rejected.Add(uint64(rejected))
+	if rb.records == 0 {
+		writeJSON(w, http.StatusOK, wire.IngestAck{})
+		return
+	}
+	ps.rejected.Add(uint64(rb.rejected))
 
 	// Partition onto shards preserving order within each machine.
 	// Admission is all-or-nothing per shard; a single overloaded shard
@@ -383,7 +416,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, ps *plantS
 	// durability on, each chunk is WAL-appended (group-committed per
 	// shard) before it is enqueued, so a 202 means the data survives a
 	// crash.
-	for idx, chunk := range ps.chunkRefs(refs) {
+	for idx, chunk := range ps.chunkRefs(rb.refs) {
 		if len(chunk) == 0 {
 			continue
 		}
@@ -400,7 +433,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, ps *plantS
 		}
 	}
 	writeJSON(w, http.StatusAccepted, wire.IngestAck{
-		Records: len(refs), Rejected: rejected, FirstRejection: firstErr,
+		Records: len(rb.refs), Rejected: rb.rejected, FirstRejection: rb.firstErr,
 	})
 }
 
@@ -436,16 +469,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request, ps *plantSta
 	var firstErr string
 	valid := metas[:0]
 	for _, m := range metas {
-		var err error
-		switch _, known := ps.in.machines.ID(m.Machine); {
-		case !known:
+		err := checkJobName(m.Job)
+		if _, known := ps.in.machines.ID(m.Machine); !known {
 			err = fmt.Errorf("unregistered machine %q", m.Machine)
-		case m.Job == "":
-			err = fmt.Errorf("missing job id")
-		default:
-			// The ingest gate (resolveRecord): the name is interned into
-			// the job table, and every snapshot of that table must reload.
-			err = wire.ValidIdent("job", m.Job)
 		}
 		if err != nil {
 			rejected++

@@ -650,7 +650,7 @@ func TestCorrectedValueReachesSnapshot(t *testing.T) {
 	cell := Record{Machine: m.ID, Job: m.Jobs[0].ID, Phase: "print", Sensor: "temp-a", T: 0, Value: 100}
 	push := func(rec Record) {
 		t.Helper()
-		refs, rejected, firstErr := ps.resolveRecords(nil, []Record{rec})
+		refs, rejected, firstErr := resolveAsFrame(ps, []Record{rec})
 		if rejected != 0 {
 			t.Fatalf("record rejected: %s", firstErr)
 		}

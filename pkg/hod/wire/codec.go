@@ -12,7 +12,7 @@ import (
 	"strings"
 )
 
-// DecodeRecords parses one ingest request body. Three wire formats are
+// DecodeRecords parses one ingest request body. Four wire formats are
 // accepted:
 //
 //   - NDJSON (default, application/x-ndjson): one Record object per line

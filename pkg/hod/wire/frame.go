@@ -263,9 +263,10 @@ func readI32Col(dst []int32, p []byte, n, dictLen int, name string) ([]int32, []
 }
 
 // FrameBuilder accumulates Records into a Frame, interning identifier
-// strings into the frame-local dictionaries — the client-side half of
-// the binary codec (Client.BatchStream in binary mode flushes through
-// one of these).
+// strings into the frame-local dictionaries. It is the client-side half
+// of the binary codec (Client.BatchStream in binary mode flushes
+// through one of these), and the server builds every text-decoded
+// batch into a Frame with one, so all ingest bodies resolve as frames.
 type FrameBuilder struct {
 	f                                   Frame
 	machineID, jobID, phaseID, sensorID map[string]int32
@@ -304,12 +305,24 @@ func (b *FrameBuilder) Add(rec Record) {
 		f.Phase = append(f.Phase, internInto(&f.Phases, b.phaseID, rec.Phase))
 	}
 	f.Sensor = append(f.Sensor, internInto(&f.Sensors, b.sensorID, rec.Sensor))
-	f.T = append(f.T, int32(rec.T))
+	f.T = append(f.T, saturateT(rec.T))
 	f.Value = append(f.Value, rec.Value)
+}
+
+// saturateT narrows a timestamp to the i32 column, clamping it to the
+// int32 bounds. Wrapping would turn t = 1<<32+3 into a valid-looking
+// 3; a clamped value stays out of any server's sample range, so the
+// record is rejected as the text codecs reject it.
+func saturateT(t int) int32 {
+	return int32(max(math.MinInt32, min(t, math.MaxInt32)))
 }
 
 // Len returns the number of accumulated records.
 func (b *FrameBuilder) Len() int { return b.f.Len() }
+
+// Frame returns the accumulated frame without encoding it. It aliases
+// the builder's storage: it is valid until the next Add or Reset.
+func (b *FrameBuilder) Frame() *Frame { return &b.f }
 
 // AppendTo encodes the accumulated frame onto dst.
 func (b *FrameBuilder) AppendTo(dst []byte) ([]byte, error) { return AppendFrame(dst, &b.f) }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -148,4 +149,91 @@ func TestDecodeRecordsBinaryContentType(t *testing.T) {
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("DecodeRecords drifted: %v", out)
 	}
+}
+
+// TestFrameBuilderSaturatesT pins that a timestamp outside the i32
+// column clamps to the int32 bound instead of wrapping onto a valid
+// sample index.
+func TestFrameBuilderSaturatesT(t *testing.T) {
+	for _, c := range []struct {
+		in   int
+		want int32
+	}{
+		{1<<32 + 3, math.MaxInt32},
+		{math.MaxInt32 + 1, math.MaxInt32},
+		{math.MaxInt32, math.MaxInt32},
+		{-(1 << 32) + 3, math.MinInt32},
+		{math.MinInt32, math.MinInt32},
+		{-1, -1},
+		{65535, 65535},
+	} {
+		body, err := EncodeBinary([]Record{{Env: true, Sensor: "hall-temp", T: c.in, Value: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := DecodeBinary(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out[0].T; got != int(c.want) {
+			t.Errorf("t %d encodes as %d, want %d", c.in, got, c.want)
+		}
+	}
+}
+
+// framesEqual compares two frames column by column, values by bit
+// pattern so NaNs compare equal to themselves.
+func framesEqual(a, b *Frame) bool {
+	for _, d := range [][2][]string{{a.Machines, b.Machines}, {a.Jobs, b.Jobs}, {a.Phases, b.Phases}, {a.Sensors, b.Sensors}} {
+		if !slices.Equal(d[0], d[1]) {
+			return false
+		}
+	}
+	for _, c := range [][2][]int32{{a.Machine, b.Machine}, {a.Job, b.Job}, {a.Phase, b.Phase}, {a.Sensor, b.Sensor}, {a.T, b.T}} {
+		if !slices.Equal(c[0], c[1]) {
+			return false
+		}
+	}
+	return slices.EqualFunc(a.Value, b.Value, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
+}
+
+// FuzzDecodeFrame feeds arbitrary frame payloads to the decoder: it
+// must never panic, and every payload it accepts must re-encode into a
+// frame that decodes back to the same columns and dictionaries.
+func FuzzDecodeFrame(f *testing.F) {
+	body, err := EncodeBinary(frameRecords())
+	if err != nil {
+		f.Fatal(err)
+	}
+	empty, err := EncodeBinary(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(body[4:])
+	f.Add(empty[4:])
+	f.Add(body[4 : len(body)-5])
+	f.Add([]byte("HODB\x01\x00"))
+	f.Add([]byte("this is not a frame at all"))
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var fr Frame
+		if DecodeFrame(p, &fr) != nil {
+			return
+		}
+		enc, err := AppendFrame(nil, &fr)
+		if err != nil {
+			t.Fatalf("accepted frame does not re-encode: %v", err)
+		}
+		if got := binary.LittleEndian.Uint32(enc); int(got) != len(enc)-4 {
+			t.Fatalf("length prefix %d for a %d-byte payload", got, len(enc)-4)
+		}
+		var back Frame
+		if err := DecodeFrame(enc[4:], &back); err != nil {
+			t.Fatalf("re-encoded frame does not decode: %v", err)
+		}
+		if !framesEqual(&fr, &back) {
+			t.Fatalf("round trip drifted:\n in=%+v\nout=%+v", fr, back)
+		}
+	})
 }
