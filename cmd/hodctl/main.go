@@ -11,7 +11,7 @@
 //	hodctl replay  -addr http://host:8080 -plant id -sensors sensors.csv
 //	hodctl report  -addr http://host:8080 -plant id [-level L] [-top K]
 //	hodctl alerts  -addr http://host:8080 -plant id [-limit N]
-//	hodctl watch   -addr http://host:8080 [-plants id,...] [-kinds alert,cube_delta,stats] [-sse] [-key K]
+//	hodctl watch   -addr http://host:8080 [-plants id,...] [-kinds alert,cube_delta,stats] [-key K]
 //	hodctl cube    -addr http://host:8080 -plant id [-op slice|rollup|members|drilldown]
 //	hodctl backup  -addr http://host:8080 -plant id -out plant.bak
 //	hodctl restore -addr http://host:8080 -plant id -in plant.bak
@@ -146,7 +146,7 @@ func usage() {
   hodctl replay  -addr URL -plant ID -sensors FILE [-jobs FILE] [-env FILE] [-batch N] [-register]
   hodctl report  -addr URL -plant ID [-level L] [-top K] [-machine ID] [-json]
   hodctl alerts  -addr URL -plant ID [-limit N] [-json]
-  hodctl watch   -addr URL [-plants ID,...] [-kinds alert,cube_delta,stats] [-key K] [-sse] [-n N] [-json]
+  hodctl watch   -addr URL [-plants ID,...] [-kinds alert,cube_delta,stats] [-key K] [-n N] [-json]
   hodctl cube    -addr URL -plant ID [-op slice|rollup|members|drilldown] [-where dim=member,...] [-keep dims] [-dim D] [-json]
   hodctl backup  -addr URL -plant ID -out FILE
   hodctl restore -addr URL -plant ID -in FILE

@@ -13,17 +13,15 @@ import (
 	"repro/pkg/hod/wire"
 )
 
-// cmdWatch tails the live push stream of a running hodserve: alerts,
-// cube-delta notifications, and stats snapshots, over WebSocket (the
-// default) or SSE, reconnecting and resuming automatically. Ctrl-C
-// exits cleanly.
+// cmdWatch tails the live push stream of a running hodserve (GET
+// /v1/events): alerts, cube-delta notifications, and stats snapshots,
+// reconnecting and resuming automatically. Ctrl-C exits cleanly.
 func cmdWatch(args []string) error {
 	fs := newFlagSet("watch")
 	addr := fs.String("addr", "http://localhost:8080", "hodserve base URL")
 	plants := fs.String("plants", "*", "comma-separated plant IDs (\"*\" = every visible plant)")
 	kinds := fs.String("kinds", "alert", "comma-separated event kinds: alert,cube_delta,stats")
 	key := fs.String("key", "", "API key for servers running with -tenants")
-	sse := fs.Bool("sse", false, "stream over SSE (/v1/events) instead of WebSocket")
 	count := fs.Int("n", 0, "exit after N events (0 = stream until interrupted)")
 	asJSON := fs.Bool("json", false, "emit raw event JSON, one object per line")
 	if err := fs.Parse(args); err != nil {
@@ -50,12 +48,8 @@ func cmdWatch(args []string) error {
 	if *key != "" {
 		clientOpts = append(clientOpts, hod.WithAPIKey(*key))
 	}
-	var subOpts []hod.SubscribeOption
-	if *sse {
-		subOpts = append(subOpts, hod.WithSSE())
-	}
 	sub, err := hod.NewClient(*addr, clientOpts...).Subscribe(ctx,
-		wire.SubscribeRequest{Channels: channels}, subOpts...)
+		wire.SubscribeRequest{Channels: channels})
 	if err != nil {
 		return err
 	}

@@ -258,7 +258,7 @@ func runRouter(addr string, peers []wire.ClusterNode, drainTimeout time.Duration
 	case sig := <-sigc:
 		fmt.Printf("hodserve: %s, draining\n", sig)
 	}
-	rt.Close()
+	rt.Close() // ends routed push streams; Shutdown waits only on requests
 	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
@@ -273,7 +273,7 @@ func run(addr string, opts server.Options, drainTimeout time.Duration) error {
 	if err := srv.Open(); err != nil {
 		return fmt.Errorf("recovering %s: %w", opts.DataDir, err)
 	}
-	httpSrv := gateway.NewHTTPServer(addr, srv.Handler())
+	httpSrv := srv.HTTPServer(addr) // its Shutdown ends push streams at once
 
 	errc := make(chan error, 1)
 	go func() {

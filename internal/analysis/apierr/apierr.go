@@ -38,9 +38,8 @@ type Config struct {
 var DefaultConfig = Config{
 	BoundaryPkgs: []string{"repro/internal/server", "repro/internal/gateway"},
 	Helpers: map[string]string{
-		"repro/internal/server":     "writeErr(%s, %s, %s, %s)",
-		"repro/internal/gateway":    "WriteError(%s, %s, %s, %s)",
-		"repro/internal/gateway/ws": "writeHandshakeError(%s, %s, %s, %s)",
+		"repro/internal/server":  "writeErr(%s, %s, %s, %s)",
+		"repro/internal/gateway": "WriteError(%s, %s, %s, %s)",
 	},
 	FallbackHelper: "gateway.WriteError(%s, %s, %s, %s)",
 	CodeForStatus: map[int64]string{
@@ -48,7 +47,6 @@ var DefaultConfig = Config{
 		401: "wire.CodeUnauthorized",
 		403: "wire.CodeForbidden",
 		404: "wire.CodeUnknownPlant",
-		426: "wire.CodeBadRequest",
 		429: "wire.CodeRateLimited",
 		500: "wire.CodeInternal",
 		503: "wire.CodeShuttingDown",

@@ -37,11 +37,10 @@ type Config struct {
 // DefaultConfig is the repo's production wiring: opMu (cluster op
 // serializers on router and server), reportMu (one report fan-out at
 // a time), runMu (one Algorithm 1 run per hierarchy at a time in the
-// SDK engine; the run fans its phase profile out across sensors),
-// snapMu (one snapshot writer at a time), and wmu (the websocket write
-// serializer — writing a frame IS the operation).
+// SDK engine; the run fans its phase profile out across sensors), and
+// snapMu (one snapshot writer at a time).
 var DefaultConfig = Config{
-	OpLocks: []string{"opMu", "reportMu", "runMu", "snapMu", "wmu"},
+	OpLocks: []string{"opMu", "reportMu", "runMu", "snapMu"},
 }
 
 // New builds the analyzer with an explicit config (tests use this).
@@ -61,7 +60,7 @@ type analyzerState struct {
 	cfg Config
 }
 
-// isOpLock reports whether a held-lock key ("rt.opMu", "c.wmu")
+// isOpLock reports whether a held-lock key ("rt.opMu", "s.snapMu")
 // names an exempted operation serializer by its final field name.
 func (a *analyzerState) isOpLock(key string) bool {
 	name := key

@@ -1,8 +1,8 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -27,8 +27,8 @@ import (
 // over backup/restore when membership changes and seeding warm
 // standbys over replicate. The pkg/hod client works against it
 // unchanged: errors ride the typed envelope, failover surfaces as
-// retriable 503s, and WebSocket/SSE subscriptions are forwarded to the
-// owner with streaming flush. There is exactly one hop: client →
+// retriable 503s, and SSE subscriptions are forwarded to the owner
+// with streaming flush. There is exactly one hop: client →
 // router → owner; nodes never proxy to each other.
 type Router struct {
 	opts      RouterOptions
@@ -36,8 +36,9 @@ type Router struct {
 	hc        *http.Client      // control plane: membership pushes, moves
 	transport http.RoundTripper // data plane: proxied client requests
 
-	// done ends background reconciliation (membership push retries);
-	// closed by Close, which ServeListener's stop also invokes.
+	// done ends background reconciliation (membership push retries)
+	// and every routed push stream; closed by Close, which
+	// ServeListener's stop also invokes.
 	done      chan struct{}
 	closeOnce sync.Once
 
@@ -106,8 +107,9 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 }
 
 // Close stops the router's background reconciliation (membership push
-// retries). Serving stops via the ServeListener stop func, which calls
-// Close itself.
+// retries) and ends its routed push streams; call it before
+// http.Server.Shutdown so Shutdown need not wait on them. Serving stops
+// via the ServeListener stop func, which calls Close itself.
 func (rt *Router) Close() {
 	rt.closeOnce.Do(func() { close(rt.done) })
 }
@@ -134,10 +136,10 @@ func (rt *Router) mount() {
 			rt.mux.HandleFunc(key, rt.handleRegister)
 		case sp.Pattern == "/v1/plants" && sp.Method == "GET":
 			rt.mux.HandleFunc(key, rt.handleList)
-		case sp.Upgrade:
+		case sp.Stream:
 			sp := sp
 			rt.mux.HandleFunc(key, func(w http.ResponseWriter, r *http.Request) {
-				rt.handleSubscribe(w, r, sp)
+				rt.handleStream(w, r, sp)
 			})
 		default: // plant-scoped: proxy to the owner
 			sp := sp
@@ -236,8 +238,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // proxyRecorder wraps the client-facing ResponseWriter so the router
 // knows whether a proxy attempt wrote anything — the line between
 // "retry on the standby" and "the response is gone". It must keep
-// hijack (WebSocket upgrades) and flush (SSE) working through the
-// wrap.
+// flush (SSE) working through the wrap.
 type proxyRecorder struct {
 	http.ResponseWriter
 	status int
@@ -264,15 +265,6 @@ func (p *proxyRecorder) Flush() {
 	if f, ok := p.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
-}
-
-func (p *proxyRecorder) Hijack() (net.Conn, *bufio.ReadWriter, error) {
-	h, ok := p.ResponseWriter.(http.Hijacker)
-	if !ok {
-		return nil, nil, fmt.Errorf("cluster: response writer cannot hijack")
-	}
-	p.wrote = true
-	return h.Hijack()
 }
 
 // proxyFor returns (building and caching) the reverse proxy to one
@@ -323,7 +315,7 @@ func (rt *Router) tryProxy(rec *proxyRecorder, r *http.Request, node wire.Cluste
 // proxyPlant routes one plant-scoped request: follower reads go to the
 // warm standby, everything else to the owner. When the primary is
 // unreachable and nothing reached the client yet, the analytic reads
-// (sp.StaleFallback — never /backup or an upgrade) retry on the other
+// (sp.StaleFallback — never /backup or a stream) retry on the other
 // replica with the internal header, marked with the stale header when
 // the fallback copy is the standby's; writes answer a retriable 503
 // and the client re-sends.
@@ -450,10 +442,13 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, wire.PlantList{Plants: ids})
 }
 
-// handleSubscribe forwards a push subscription to the owner of the one
+// handleStream forwards a push subscription to the owner of the one
 // plant its channels name. Wildcard and cross-plant subscriptions are
-// refused: a routed stream follows exactly one plant's owner.
-func (rt *Router) handleSubscribe(w http.ResponseWriter, r *http.Request, sp RouteSpec) {
+// refused: a routed stream follows exactly one plant's owner. The
+// stream ends when the router closes — http.Server's Shutdown cancels
+// no request context, so it would otherwise wait out its budget on
+// every open stream.
+func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request, sp RouteSpec) {
 	req, err := wire.DecodeSubscribeRequest(r.URL.Query())
 	if err != nil {
 		gateway.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
@@ -479,7 +474,16 @@ func (rt *Router) handleSubscribe(w http.ResponseWriter, r *http.Request, sp Rou
 			return
 		}
 	}
-	rt.proxyPlant(w, r, plant, sp)
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	go func() {
+		select {
+		case <-rt.done:
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
+	rt.proxyPlant(w, r.WithContext(ctx), plant, sp)
 }
 
 // --- coordinator API -------------------------------------------------

@@ -34,7 +34,7 @@ const (
 
 // RouteSpec describes one route of the v1 surface the way the routing
 // tier needs it: where the plant id lives, whether the warm standby
-// may serve it, and whether it upgrades to a push stream.
+// may serve it, and whether it is a push stream.
 type RouteSpec struct {
 	Method  string
 	Pattern string
@@ -52,9 +52,10 @@ type RouteSpec struct {
 	// failover settles. Never /backup: a stale backup restored later
 	// would silently lose acked data.
 	StaleFallback bool
-	// Upgrade routes are the push endpoints (WebSocket / SSE); the
-	// router forwards them to the owner with streaming flush.
-	Upgrade bool
+	// Stream routes are the push endpoint (SSE); the router forwards
+	// them to the owner with streaming flush, and ends them when it
+	// closes.
+	Stream bool
 	// Internal routes are the node-side cluster control surface —
 	// membership pushes, replication, WAL tailing. They demand the
 	// internal header and are never proxied by the router.
@@ -78,8 +79,7 @@ func V1Routes() []RouteSpec {
 		{Method: "GET", Pattern: "/v1/plants/{id}/stats", PlantScoped: true, StaleFallback: true},
 		{Method: "GET", Pattern: "/v1/plants/{id}/backup", PlantScoped: true},
 		{Method: "POST", Pattern: "/v1/plants/{id}/restore", PlantScoped: true},
-		{Method: "GET", Pattern: "/v1/subscribe", Upgrade: true},
-		{Method: "GET", Pattern: "/v1/events", Upgrade: true},
+		{Method: "GET", Pattern: "/v1/events", Stream: true},
 	}
 }
 

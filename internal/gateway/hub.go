@@ -1,7 +1,7 @@
 // Package gateway is the live push layer of the serving system: a
 // per-channel subscription hub fanning out fold-path events
-// (EWMA alerts, cube-delta notifications, stats snapshots) to
-// WebSocket/SSE subscribers, plus the composable HTTP middleware chain
+// (EWMA alerts, cube-delta notifications, stats snapshots) to SSE
+// subscribers, plus the composable HTTP middleware chain
 // (bearer auth, tenant scoping, per-tenant rate limits, request
 // logging) the whole v1 surface is wrapped in.
 //
@@ -137,8 +137,9 @@ func (h *Hub) unsubscribe(s *Subscriber) {
 }
 
 // Close closes every subscriber and refuses new ones — the server's
-// shutdown path, unblocking writer goroutines on hijacked connections
-// the HTTP server no longer owns.
+// shutdown path. It ends every open event stream, which http.Server's
+// Shutdown would otherwise wait on, since it cancels no request
+// context. Closing twice is harmless.
 //
 //hod:allow(determinism) teardown order across independent subscribers is unobservable: each one just sees its own channel close
 func (h *Hub) Close() {

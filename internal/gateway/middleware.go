@@ -1,11 +1,9 @@
 package gateway
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -34,17 +32,18 @@ func Chain(mws ...Middleware) Middleware {
 // Timeouts of every listener the serving layer opens. A client gets
 // readHeaderTimeout to send its request headers, and a keep-alive
 // connection idle for idleTimeout is closed. ReadTimeout and
-// WriteTimeout stay zero on purpose: /v1/subscribe, /v1/events and
-// streamed ingest bodies are long-lived.
+// WriteTimeout stay zero on purpose: /v1/events streams and streamed
+// ingest bodies are long-lived. The event stream bounds each of its
+// writes itself.
 const (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
 )
 
 // NewHTTPServer is the one constructor of the serving layer's
-// http.Servers — Server.ServeListener, Router.ServeListener and
-// hodserve's node, router and pprof listeners — so every one of them
-// carries the timeouts above.
+// http.Servers — Server.HTTPServer (behind ServeListener and hodserve's
+// node), Router.ServeListener and hodserve's router and pprof
+// listeners — so every one of them carries the timeouts above.
 func NewHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
@@ -270,8 +269,8 @@ func RequestLog(logf func(format string, args ...any)) Middleware {
 }
 
 // statusWriter records the status code while forwarding everything —
-// including the Hijacker the WebSocket upgrade needs and the Flusher
-// SSE needs.
+// including the flushes and write deadlines SSE needs, which an
+// http.ResponseController reaches through Unwrap.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -282,18 +281,5 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// Flush forwards to the underlying Flusher (SSE).
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// Hijack forwards to the underlying Hijacker (WebSocket upgrade).
-func (w *statusWriter) Hijack() (c net.Conn, rw *bufio.ReadWriter, err error) {
-	hj, ok := w.ResponseWriter.(http.Hijacker)
-	if !ok {
-		return nil, nil, fmt.Errorf("gateway: underlying ResponseWriter cannot hijack")
-	}
-	return hj.Hijack()
-}
+// Unwrap exposes the underlying writer to http.ResponseController.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }

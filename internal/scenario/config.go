@@ -72,10 +72,10 @@ const (
 	// stream must arrive coalesced and converge to the polled ring.
 	// Needs "subscribe": true.
 	KindSlowConsumer = "slow_consumer"
-	// KindWSDisconnect severs the subscriber's transport before batch
+	// KindPushDisconnect severs the subscriber's transport before batch
 	// At; the subscription must redial and resume from its seq cursor
 	// without replaying or losing alerts. Needs "subscribe": true.
-	KindWSDisconnect = "ws_disconnect"
+	KindPushDisconnect = "push_disconnect"
 	// KindCorruptFrame posts a structurally corrupt binary columnar
 	// frame (wire.ContentTypeBinary) before batch At. The server must
 	// reject it whole with 400 + bad_frame — and the next valid batch
@@ -170,13 +170,10 @@ type Config struct {
 	// gateway) to the victim for the whole replay; the verify phase
 	// then checks the pushed stream, after coalescing, converges to
 	// the same final state as polling /v1/plants/{id}/alerts. Required
-	// by slow_consumer and ws_disconnect; incompatible with restart
+	// by slow_consumer and push_disconnect; incompatible with restart
 	// faults (recovery re-raises alerts, so push convergence across a
 	// kill is not deterministic).
 	Subscribe bool `json:"subscribe,omitempty"`
-	// SubscribeSSE streams the subscriber over GET /v1/events (SSE)
-	// instead of WebSocket.
-	SubscribeSSE bool `json:"subscribe_sse,omitempty"`
 	// AlertThreshold is the server's streaming alert threshold (zero =
 	// server default). Push scenarios lower it so the trace raises a
 	// dense alert stream worth coalescing.
@@ -234,15 +231,15 @@ var kindNeedsDurable = map[string]bool{
 	KindConnReset:       false,
 	KindListenerReset:   false,
 	KindSlowConsumer:    false,
-	KindWSDisconnect:    false,
+	KindPushDisconnect:  false,
 	KindNodeKill:        true,
 	KindRouterPartition: false,
 }
 
 // kinds that only make sense with a live subscriber attached.
 var kindNeedsSubscribe = map[string]bool{
-	KindSlowConsumer: true,
-	KindWSDisconnect: true,
+	KindSlowConsumer:   true,
+	KindPushDisconnect: true,
 }
 
 // kinds that only make sense against a cluster (nodes >= 2).
@@ -259,7 +256,7 @@ var kindSingleServer = map[string]bool{
 	KindCorruptWALTail: true,
 	KindListenerReset:  true,
 	KindSlowConsumer:   true,
-	KindWSDisconnect:   true,
+	KindPushDisconnect: true,
 }
 
 // Validate rejects configs the runner could not execute

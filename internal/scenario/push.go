@@ -17,7 +17,7 @@ import (
 // the victim: one alerts:* subscription through the push gateway, read
 // by a single consumer goroutine. Faults act on it mid-replay —
 // slow_consumer pauses the consumer (the server must coalesce, never
-// block ingest), ws_disconnect severs the transport (the subscription
+// block ingest), push_disconnect severs the transport (the subscription
 // must redial and resume from its cursor) — and the verify phase
 // checks the delivered stream converges to the polled alerts ring.
 type pushWatcher struct {
@@ -40,16 +40,13 @@ type pushWatcher struct {
 // starts the consumer loop. Called before any plant registers — the
 // wildcard channel picks up plants as they appear.
 func (h *harness) startWatch(ctx context.Context) error {
-	opts := []hod.SubscribeOption{hod.WithReconnectWait(50 * time.Millisecond)}
-	if h.cfg.SubscribeSSE {
-		opts = append(opts, hod.WithSSE())
-	}
 	w := &pushWatcher{
 		client:    hod.NewClient(h.baseURL),
 		done:      make(chan struct{}),
 		delivered: map[string][]wire.Alert{},
 	}
-	sub, err := w.client.Subscribe(ctx, wire.SubscribeRequest{Channels: []string{"alerts:*"}}, opts...)
+	sub, err := w.client.Subscribe(ctx, wire.SubscribeRequest{Channels: []string{"alerts:*"}},
+		hod.WithReconnectWait(50*time.Millisecond))
 	if err != nil {
 		return err
 	}
@@ -64,7 +61,7 @@ func (h *harness) startWatch(ctx context.Context) error {
 // loop is the consumer: gate (the slow_consumer stall point), read,
 // record. Redial failures are retried — the subscription stays usable
 // after a Next error, and a severed transport is the point of
-// ws_disconnect.
+// push_disconnect.
 func (w *pushWatcher) loop(ctx context.Context) {
 	defer close(w.done)
 	for {
@@ -125,7 +122,7 @@ func (w *pushWatcher) resume() {
 	w.pauseMu.Unlock()
 }
 
-// drop is the ws_disconnect fault: sever the transport out from under
+// drop is the push_disconnect fault: sever the transport out from under
 // the consumer; the next read redials and resumes.
 func (w *pushWatcher) drop() { w.sub.Drop() }
 
@@ -251,7 +248,7 @@ func (r *Runner) verifyPush(ctx context.Context, h *harness, traces []*plantTrac
 		res.check("push_coalesced", coalesced > 0,
 			"stalled subscriber resumed without any coalesced event")
 	}
-	if res.Injected[KindWSDisconnect] > 0 {
+	if res.Injected[KindPushDisconnect] > 0 {
 		res.check("push_reconnected", w.sub.Reconnects() > 0,
 			"transport was severed but the subscription never redialed")
 	}

@@ -479,10 +479,10 @@ func (r *Runner) fire(ctx context.Context, cfg Config, h *harness, f Failure, re
 			h.watch.pause()
 			res.Injected[KindSlowConsumer]++
 		}
-	case KindWSDisconnect:
+	case KindPushDisconnect:
 		if h.watch != nil {
 			h.watch.drop()
-			res.Injected[KindWSDisconnect]++
+			res.Injected[KindPushDisconnect]++
 		}
 	case KindKill, KindCorruptWALTail:
 		pre, err := h.client.Stats(ctx, firstPlant(cfg))

@@ -93,7 +93,7 @@ func TestConfigValidation(t *testing.T) {
 		{"kill needs durable", `{"name":"x","plants":[{"id":"p"}],"failures":[{"kind":"kill","at":1}]}`, "needs \"durable\": true"},
 		{"stall needs subscribe", `{"name":"x","plants":[{"id":"p"}],"failures":[{"kind":"slow_consumer","at":1}]}`, "needs \"subscribe\": true"},
 		{"no kill under subscribe", `{"name":"x","durable":true,"subscribe":true,"plants":[{"id":"p"}],"failures":[{"kind":"kill","at":1}]}`, "not deterministic"},
-		{"valid push", `{"name":"x","subscribe":true,"plants":[{"id":"p"}],"failures":[{"kind":"ws_disconnect","at":1}]}`, ""},
+		{"valid push", `{"name":"x","subscribe":true,"plants":[{"id":"p"}],"failures":[{"kind":"push_disconnect","at":1}]}`, ""},
 		{"unknown plant", `{"name":"x","plants":[{"id":"p"}],"failures":[{"kind":"dropout","plant":"q"}]}`, `unknown plant "q"`},
 		{"typo field", `{"name":"x","plants":[{"id":"p"}],"failures":[{"kind":"dropout","form":3}]}`, "unknown field"},
 	}

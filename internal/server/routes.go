@@ -13,9 +13,10 @@ type route struct {
 	method  string
 	pattern string
 	// open routes skip the middleware chain — only liveness, which must
-	// answer even with auth misconfigured. The push endpoints go through
-	// the chain like everything else (TenantScope passes routes without
-	// an {id} segment; per-channel scoping happens in the handler).
+	// answer even with auth misconfigured. The push endpoint goes
+	// through the chain like everything else (TenantScope passes routes
+	// without an {id} segment; per-channel scoping happens in the
+	// handler).
 	open    bool
 	handler http.HandlerFunc
 }
@@ -36,7 +37,6 @@ func (s *Server) routes() []route {
 		{method: "GET", pattern: "/v1/plants/{id}/stats", handler: s.withPlant(s.handleStats)},
 		{method: "GET", pattern: "/v1/plants/{id}/backup", handler: s.withPlant(s.handleBackup)},
 		{method: "POST", pattern: "/v1/plants/{id}/restore", handler: s.handleRestore},
-		{method: "GET", pattern: "/v1/subscribe", handler: s.handleSubscribe},
 		{method: "GET", pattern: "/v1/events", handler: s.handleEvents},
 		// The node-side cluster control surface (internal/cluster
 		// NodeRoutes): membership pushes, standby seeding, WAL tailing.

@@ -35,7 +35,6 @@ var wantRoutes = []string{
 	"GET /v1/plants/{id}/stats",
 	"GET /v1/plants/{id}/backup",
 	"POST /v1/plants/{id}/restore",
-	"GET /v1/subscribe",
 	"GET /v1/events",
 	"GET /v1/cluster/status",
 	"POST /v1/cluster/membership",
@@ -147,7 +146,7 @@ func TestHealthzOpenWithAuth(t *testing.T) {
 func TestServeListenerTimeouts(t *testing.T) {
 	s := New(Options{})
 	defer s.Close()
-	hs := s.httpServer()
+	hs := s.HTTPServer("")
 	if hs.ReadHeaderTimeout != 10*time.Second || hs.IdleTimeout != 2*time.Minute {
 		t.Fatalf("ServeListener server has ReadHeaderTimeout %v, IdleTimeout %v; want 10s, 2m",
 			hs.ReadHeaderTimeout, hs.IdleTimeout)

@@ -25,6 +25,7 @@
 //	GET  /v1/plants/{id}/stats               ingest counters, queue depths, durability gauges
 //	GET  /v1/plants/{id}/backup              consistent snapshot of the plant (binary)
 //	POST /v1/plants/{id}/restore             recreate a plant from a backup
+//	GET  /v1/events                          live push stream, SSE (?channel=alerts:p1&channel=cube:*)
 //	GET  /healthz                            liveness
 //
 // With Options.DataDir set, every accepted ingest batch is appended to
@@ -184,19 +185,26 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // examples — host a fleet endpoint without touching net/http
 // themselves.
 func (s *Server) ServeListener(ln net.Listener) (stop func()) {
-	hs := s.httpServer()
+	hs := s.HTTPServer("")
 	go hs.Serve(ln)
 	return func() { hs.Close() }
 }
 
-// httpServer builds the http.Server ServeListener runs.
-func (s *Server) httpServer() *http.Server { return gateway.NewHTTPServer("", s.mux) }
+// HTTPServer builds the http.Server that serves s on addr: the serving
+// layer's timeouts (gateway.NewHTTPServer), and push streams that end
+// as soon as Shutdown begins. Shutdown cancels no request context, so
+// an open /v1/events stream would otherwise hold it for its whole
+// budget; in-flight ingest still drains.
+func (s *Server) HTTPServer(addr string) *http.Server {
+	hs := gateway.NewHTTPServer(addr, s.mux)
+	hs.RegisterOnShutdown(s.hub.Close)
+	return hs
+}
 
 // Close stops admission and drains every plant's shard queues; safe to
 // call once the HTTP listener has shut down (or is about to — new
-// ingests get 503). Push subscribers are closed first: their
-// connections are hijacked from the HTTP server, so nothing else would
-// unblock the writer goroutines.
+// ingests get 503). Push subscribers are closed first, so a server
+// stopped without Shutdown still ends its event streams.
 func (s *Server) Close() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return

@@ -9,36 +9,33 @@ import (
 	"time"
 
 	"repro/internal/gateway"
-	"repro/internal/gateway/ws"
 	"repro/pkg/hod/wire"
 )
 
-// The live push endpoints: GET /v1/subscribe upgrades to a WebSocket,
-// GET /v1/events serves the same stream over SSE for clients that
-// cannot speak WebSocket. Both share one grammar
-// (wire.SubscribeRequest in the query string), one validation path
-// (resolveSubscribe, before any protocol upgrade, so errors travel as
-// plain HTTP with the typed envelope), one connect-time replay
+// The live push endpoint: GET /v1/events streams the subscription over
+// SSE. One grammar (wire.SubscribeRequest in the query string), one
+// validation path (resolveSubscribe, before the stream starts, so
+// errors travel with the typed envelope), one connect-time replay
 // (seedSubscription) and one event source (the gateway hub, fed at
 // fold-batch boundaries). Delivery is at-least-once: a reconnecting
 // client resumes via after_seq/after_rev and dedups alerts by Seq.
 
 const (
-	// heartbeatInterval paces keepalives on an otherwise idle stream —
-	// a WebSocket ping or an SSE comment line.
+	// heartbeatInterval paces keepalive comment lines on an otherwise
+	// idle stream.
 	heartbeatInterval = 15 * time.Second
 	// pushWriteTimeout bounds one frame write; a peer that cannot
-	// accept a frame in this window is disconnected (its state is
-	// cheaply reconstructed on reconnect via the resume protocol).
+	// accept a frame in this window is disconnected instead of pinning
+	// the stream's goroutine (its state is cheaply reconstructed on
+	// reconnect via the resume protocol).
 	pushWriteTimeout = 10 * time.Second
 )
 
-// resolveSubscribe parses and vets a subscription request before any
-// upgrade: bad grammar is 400, an explicit channel naming an unknown
-// plant is 404, one outside the tenant's grant is 403 — all with the
-// wire envelope, while the connection is still plain HTTP. On success
-// it returns the parsed channels and the wildcard scope set for the
-// hub (nil = unrestricted).
+// resolveSubscribe parses and vets a subscription request before the
+// stream starts: bad grammar is 400, an explicit channel naming an
+// unknown plant is 404, one outside the tenant's grant is 403 — all
+// with the wire envelope. On success it returns the parsed channels
+// and the wildcard scope set for the hub (nil = unrestricted).
 func (s *Server) resolveSubscribe(w http.ResponseWriter, r *http.Request) (req wire.SubscribeRequest, chans []wire.Channel, allowed map[string]bool, ok bool) {
 	req, err := wire.DecodeSubscribeRequest(r.URL.Query())
 	if err != nil {
@@ -139,105 +136,65 @@ func (s *Server) seedSubscription(sub *gateway.Subscriber, chans []wire.Channel,
 	}
 }
 
-// handleSubscribe serves GET /v1/subscribe: validate, upgrade to a
-// WebSocket, then stream events as JSON text frames. One goroutine
-// reads (control frames, peer close detection), one writes — the
-// subscriber queue decouples both from the fold path.
-func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	req, chans, allowed, ok := s.resolveSubscribe(w, r)
-	if !ok {
-		return
-	}
-	conn, err := ws.Accept(w, r)
-	if err != nil {
-		return // Accept already answered with plain HTTP
-	}
-	defer conn.Close()
-	sub := s.hub.Subscribe(chans, allowed, s.opts.SubscriberQueue)
-	defer sub.Close()
-	s.seedSubscription(sub, chans, allowed, req)
-
-	// The connection is hijacked: the peer hanging up surfaces only as
-	// a read error, so a reader goroutine turns that into cancellation
-	// (and services ping/close control frames along the way).
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		defer cancel()
-		for {
-			if _, _, err := conn.ReadMessage(); err != nil {
-				return
-			}
-		}
-	}()
-
-	for {
-		tick, cancelTick := context.WithTimeout(ctx, heartbeatInterval)
-		ev, open := sub.Next(tick)
-		cancelTick()
-		if !open || ctx.Err() != nil {
-			return
-		}
-		conn.SetWriteDeadline(time.Now().Add(pushWriteTimeout))
-		if ev.Kind == "" { // heartbeat tick: keep intermediaries awake
-			if err := conn.WriteMessage(ws.OpPing, nil); err != nil {
-				return
-			}
-			continue
-		}
-		buf, err := json.Marshal(ev)
-		if err != nil {
-			return
-		}
-		if err := conn.WriteMessage(ws.OpText, buf); err != nil {
-			return
-		}
-	}
-}
-
-// handleEvents serves GET /v1/events: the same stream over SSE —
-// "event: {kind}\ndata: {json}\n\n" frames, comment lines as
-// heartbeats — for clients without WebSocket support (curl included).
+// handleEvents serves GET /v1/events: validate, then stream the
+// subscriber's events as SSE — "event: {kind}\ndata: {json}\n\n"
+// frames, comment lines as heartbeats. It is an ordinary response: a
+// disconnect cancels r.Context(), and curl can read it.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	req, chans, allowed, ok := s.resolveSubscribe(w, r)
 	if !ok {
 		return
 	}
-	fl, canFlush := w.(http.Flusher)
-	if !canFlush {
+	rc := http.NewResponseController(w)
+	// The first deadline doubles as the capability check: a writer
+	// that cannot bound its writes cannot stream safely either.
+	if err := rc.SetWriteDeadline(time.Now().Add(pushWriteTimeout)); err != nil {
 		writeErr(w, http.StatusInternalServerError, wire.CodeInternal, "response writer cannot stream")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	fl.Flush()
+	if err := rc.Flush(); err != nil {
+		return
+	}
 	sub := s.hub.Subscribe(chans, allowed, s.opts.SubscriberQueue)
 	defer sub.Close()
 	s.seedSubscription(sub, chans, allowed, req)
+	streamEvents(r.Context(), w, sub, heartbeatInterval)
+}
 
-	ctx := r.Context() // SSE stays an ordinary response: disconnect cancels it
+// streamEvents writes sub's events to w until ctx ends, the hub closes
+// sub or a write fails, with a heartbeat comment after every quiet
+// heartbeat interval. Each write gets its own deadline of
+// pushWriteTimeout.
+func streamEvents(ctx context.Context, w http.ResponseWriter, sub *gateway.Subscriber, heartbeat time.Duration) {
+	rc := http.NewResponseController(w)
 	for {
-		tick, cancelTick := context.WithTimeout(ctx, heartbeatInterval)
+		tick, cancelTick := context.WithTimeout(ctx, heartbeat)
 		ev, open := sub.Next(tick)
 		cancelTick()
 		if !open || ctx.Err() != nil {
 			return
 		}
-		if ev.Kind == "" {
+		if err := rc.SetWriteDeadline(time.Now().Add(pushWriteTimeout)); err != nil {
+			return
+		}
+		if ev.Kind == "" { // heartbeat tick: keep intermediaries awake
 			if _, err := fmt.Fprint(w, ": hb\n\n"); err != nil {
 				return
 			}
-			fl.Flush()
-			continue
+		} else {
+			buf, err := json.Marshal(ev)
+			if err != nil {
+				return
+			}
+			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Kind, buf); err != nil {
+				return
+			}
 		}
-		buf, err := json.Marshal(ev)
-		if err != nil {
+		if err := rc.Flush(); err != nil {
 			return
 		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Kind, buf); err != nil {
-			return
-		}
-		fl.Flush()
 	}
 }

@@ -4,12 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/gateway"
 	"repro/internal/plant"
 	"repro/pkg/hod"
 	"repro/pkg/hod/wire"
@@ -70,12 +75,12 @@ func (f *pushFixture) ingestAll(t *testing.T, ctx context.Context) {
 	}
 }
 
-// TestWSSubscriberConvergesToPolledAlerts is the E2E acceptance: a
-// WebSocket subscriber attached during a plantsim replay receives an
-// alert stream whose final coalesced state — the last ring-capacity
-// alerts by Seq — is byte-identical to what polling the alerts
-// endpoint returns after the drain.
-func TestWSSubscriberConvergesToPolledAlerts(t *testing.T) {
+// TestSubscriberConvergesToPolledAlerts is the E2E acceptance: a
+// subscriber attached during a plantsim replay receives an alert
+// stream whose final coalesced state — the last ring-capacity alerts
+// by Seq — is byte-identical to what polling the alerts endpoint
+// returns after the drain.
+func TestSubscriberConvergesToPolledAlerts(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	f := newPushFixture(t, Options{})
@@ -260,8 +265,8 @@ func TestStalledSubscriberCoalesces(t *testing.T) {
 }
 
 // TestForeignTenantSubscribeRejected pins the auth contract of the
-// push endpoints: the handshake is refused before any upgrade, with
-// the typed wire envelope, on both transports.
+// push endpoint: the subscription is refused before the stream
+// starts, with the typed wire envelope.
 func TestForeignTenantSubscribeRejected(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -278,37 +283,30 @@ func TestForeignTenantSubscribeRejected(t *testing.T) {
 	}
 
 	scoped := hod.NewClient(ts.URL, hod.WithAPIKey("key-acme")) // granted p1 only
-	for _, mode := range []struct {
-		name string
-		opts []hod.SubscribeOption
-	}{{"websocket", nil}, {"sse", []hod.SubscribeOption{hod.WithSSE()}}} {
-		t.Run(mode.name, func(t *testing.T) {
-			_, err := scoped.Subscribe(ctx, wire.SubscribeRequest{Channels: []string{"alerts:p2"}}, mode.opts...)
-			if !errors.Is(err, hod.ErrForbidden) {
-				t.Fatalf("foreign-tenant subscribe: err = %v, want ErrForbidden", err)
-			}
-			var apiErr *hod.APIError
-			if !errors.As(err, &apiErr) || apiErr.Code != wire.CodeForbidden || apiErr.Status != 403 {
-				t.Fatalf("err = %#v, want typed envelope with code %q", err, wire.CodeForbidden)
-			}
-		})
+	_, err = scoped.Subscribe(ctx, wire.SubscribeRequest{Channels: []string{"alerts:p2"}})
+	if !errors.Is(err, hod.ErrForbidden) {
+		t.Fatalf("foreign-tenant subscribe: err = %v, want ErrForbidden", err)
+	}
+	var apiErr *hod.APIError
+	if !errors.As(err, &apiErr) || apiErr.Code != wire.CodeForbidden || apiErr.Status != 403 {
+		t.Fatalf("err = %#v, want typed envelope with code %q", err, wire.CodeForbidden)
 	}
 
-	// No key at all in authenticated mode: 401 before the upgrade.
+	// No key at all in authenticated mode: 401 before the stream.
 	anon := hod.NewClient(ts.URL)
 	if _, err := anon.Subscribe(ctx, wire.SubscribeRequest{Channels: []string{"alerts:p2"}}); !errors.Is(err, hod.ErrUnauthorized) {
 		t.Fatalf("anonymous subscribe: err = %v, want ErrUnauthorized", err)
 	}
-	// Unknown plant: typed 404, same pre-upgrade path.
+	// Unknown plant: typed 404, same pre-stream path.
 	if _, err := op.Subscribe(ctx, wire.SubscribeRequest{Channels: []string{"alerts:ghost"}}); !errors.Is(err, hod.ErrUnknownPlant) {
 		t.Fatalf("unknown-plant subscribe: err = %v, want ErrUnknownPlant", err)
 	}
 }
 
-// TestConcurrentSubscribersDuringIngest races N mixed-transport,
-// mixed-kind subscribers against a live replay — the -race suite's
-// gateway workout. Every alert subscriber must converge to the polled
-// ring state.
+// TestConcurrentSubscribersDuringIngest races N mixed-kind
+// subscribers against a live replay — the -race suite's gateway
+// workout. Every alert subscriber must converge to the polled ring
+// state.
 func TestConcurrentSubscribersDuringIngest(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -317,21 +315,17 @@ func TestConcurrentSubscribersDuringIngest(t *testing.T) {
 	const nSubs = 6
 	subs := make([]*hod.Subscription, nSubs)
 	for i := range subs {
-		var opts []hod.SubscribeOption
-		if i%2 == 1 {
-			opts = append(opts, hod.WithSSE())
-		}
 		var (
 			sub *hod.Subscription
 			err error
 		)
 		switch i % 3 {
 		case 0:
-			sub, err = f.c.Subscribe(ctx, wire.SubscribeRequest{Channels: []string{"alerts:" + f.id}}, opts...)
+			sub, err = f.c.Subscribe(ctx, wire.SubscribeRequest{Channels: []string{"alerts:" + f.id}})
 		case 1:
-			sub, err = f.c.Subscribe(ctx, wire.SubscribeRequest{Channels: []string{"alerts:*", "stats:*"}}, opts...)
+			sub, err = f.c.Subscribe(ctx, wire.SubscribeRequest{Channels: []string{"alerts:*", "stats:*"}})
 		case 2:
-			sub, err = f.c.Subscribe(ctx, wire.SubscribeRequest{Channels: []string{"cube:" + f.id, "stats:" + f.id}}, opts...)
+			sub, err = f.c.Subscribe(ctx, wire.SubscribeRequest{Channels: []string{"cube:" + f.id, "stats:" + f.id}})
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -480,5 +474,225 @@ func TestSubscriptionReconnectResumes(t *testing.T) {
 	wantJSON, _ := json.Marshal(polled.Alerts)
 	if string(gotJSON) != string(wantJSON) {
 		t.Fatalf("post-reconnect final state differs from polled alerts")
+	}
+}
+
+// deadlineRecorder is a streaming ResponseWriter that checks the
+// stalled-peer guard: every Write and Flush must follow a
+// SetWriteDeadline of pushWriteTimeout made since the previous Write.
+// http.ResponseController reaches SetWriteDeadline and Flush through
+// the middleware chain's Unwrap.
+type deadlineRecorder struct {
+	header http.Header
+
+	mu         sync.Mutex
+	armed      bool
+	unguarded  []string // writes and flushes made without a fresh deadline
+	badWindow  []time.Duration
+	events     int
+	heartbeats int
+}
+
+func newDeadlineRecorder() *deadlineRecorder { return &deadlineRecorder{header: http.Header{}} }
+
+func (d *deadlineRecorder) Header() http.Header { return d.header }
+func (d *deadlineRecorder) WriteHeader(int)     {}
+
+func (d *deadlineRecorder) SetWriteDeadline(t time.Time) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	// The handler computes time.Now().Add(pushWriteTimeout) just before
+	// this call; anything outside a second's slack is another window.
+	if w := time.Until(t); w > pushWriteTimeout || w < pushWriteTimeout-time.Second {
+		d.badWindow = append(d.badWindow, w)
+	}
+	d.armed = true
+	return nil
+}
+
+func (d *deadlineRecorder) Write(p []byte) (int, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !d.armed {
+		d.unguarded = append(d.unguarded, fmt.Sprintf("write %.20q", p))
+	}
+	d.armed = false
+	switch {
+	case strings.HasPrefix(string(p), "event: "):
+		d.events++
+	case string(p) == ": hb\n\n":
+		d.heartbeats++
+	}
+	return len(p), nil
+}
+
+// Flush follows its frame's Write under the same deadline; the header
+// flush comes before any Write and needs one of its own.
+func (d *deadlineRecorder) Flush() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !d.armed && d.events+d.heartbeats == 0 {
+		d.unguarded = append(d.unguarded, "header flush")
+	}
+}
+
+func (d *deadlineRecorder) counts() (events, heartbeats int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.events, d.heartbeats
+}
+
+func (d *deadlineRecorder) check(t *testing.T) {
+	t.Helper()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.unguarded) > 0 {
+		t.Errorf("%d writes without a fresh write deadline, first: %s", len(d.unguarded), d.unguarded[0])
+	}
+	if len(d.badWindow) > 0 {
+		t.Errorf("write deadline %v ahead, want %v", d.badWindow[0], pushWriteTimeout)
+	}
+}
+
+// waitFor polls cond for up to 10s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestEventStreamWriteDeadlines pins the stalled-peer guard of
+// GET /v1/events: the handler sets a write deadline of pushWriteTimeout
+// before the header flush and before every event and heartbeat write,
+// so a peer that stops reading is cut off instead of pinning the
+// stream's goroutine. No real deadline has to expire: the recorder
+// checks each deadline as it is set.
+func TestEventStreamWriteDeadlines(t *testing.T) {
+	s := New(Options{})
+	defer s.Close()
+
+	// Events, through the whole middleware chain.
+	rec := newDeadlineRecorder()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		req := httptest.NewRequest(http.MethodGet, "/v1/events?channel=cube:*", nil).WithContext(ctx)
+		s.Handler().ServeHTTP(rec, req)
+	}()
+	rev := uint64(0)
+	waitFor(t, "three events", func() bool {
+		rev++ // publish until the subscription is in place and three arrived
+		s.hub.Publish(wire.Event{Kind: wire.EventCubeDelta, Plant: "p", Revision: rev})
+		ev, _ := rec.counts()
+		return ev >= 3
+	})
+	cancel()
+	<-done
+	rec.check(t)
+	if ct := rec.header.Get("Content-Type"); ct != "text/event-stream" {
+		t.Errorf("Content-Type = %q", ct)
+	}
+
+	// Heartbeats, on a short interval instead of heartbeatInterval.
+	hub := gateway.NewHub()
+	defer hub.Close()
+	sub := hub.Subscribe([]wire.Channel{{Kind: wire.EventStats, Plant: "p"}}, nil, 0)
+	rec = newDeadlineRecorder()
+	rec.armed = true // streamEvents starts after handleEvents' header flush
+	ctx, cancel = context.WithCancel(context.Background())
+	done = make(chan struct{})
+	go func() { defer close(done); streamEvents(ctx, rec, sub, time.Millisecond) }()
+	waitFor(t, "three heartbeats", func() bool { _, hb := rec.counts(); return hb >= 3 })
+	hub.Publish(wire.Event{Kind: wire.EventStats, Plant: "p", Revision: 1, Stats: &wire.StatsResponse{}})
+	waitFor(t, "an event between heartbeats", func() bool { ev, _ := rec.counts(); return ev >= 1 })
+	cancel()
+	<-done
+	rec.check(t)
+}
+
+// TestShutdownEndsPushStreams pins graceful shutdown with a subscriber
+// attached. http.Server.Shutdown cancels no request context, so an
+// open event stream would hold it for its whole budget unless the
+// server's HTTPServer ended push streams as soon as Shutdown begins.
+// An ingest request in flight must still drain: Shutdown waits for it,
+// and it is admitted.
+func TestShutdownEndsPushStreams(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	srv := New(Options{})
+	defer srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := srv.HTTPServer("")
+	go hs.Serve(ln)
+	defer hs.Close()
+	base := "http://" + ln.Addr().String()
+	c := hod.NewClient(base)
+	p, err := plant.Simulate(plant.Config{Seed: 3, Lines: 1, MachinesPerLine: 1, JobsPerMachine: 2, PhaseSamples: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Register(ctx, topoFromPlant("p", p)); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := c.Subscribe(ctx, wire.SubscribeRequest{Channels: []string{"stats:p"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+
+	// An ingest whose body is still arriving when Shutdown begins.
+	body, err := wire.EncodeNDJSON(machineRecords(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, pw := io.Pipe()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/plants/p/ingest", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	if _, err := pw.Write(body[:len(body)/2]); err != nil {
+		t.Fatal(err)
+	}
+
+	const budget = 5 * time.Second
+	sctx, scancel := context.WithTimeout(context.Background(), budget)
+	defer scancel()
+	start := time.Now()
+	shut := make(chan error, 1)
+	go func() { shut <- hs.Shutdown(sctx) }()
+	select {
+	case err := <-shut:
+		t.Fatalf("Shutdown returned (%v) while an ingest body was still arriving", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	if _, err := pw.Write(body[len(body)/2:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	if code := <-status; code != http.StatusAccepted {
+		t.Fatalf("in-flight ingest answered %d, want 202", code)
+	}
+	if err := <-shut; err != nil {
+		t.Fatalf("Shutdown with an open subscriber: %v after %v", err, time.Since(start))
+	}
+	if took := time.Since(start); took > budget/2 {
+		t.Fatalf("Shutdown took %v of its %v budget", took, budget)
 	}
 }

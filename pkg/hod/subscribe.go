@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,26 +12,23 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/gateway/ws"
 	"repro/pkg/hod/wire"
 )
 
-// Subscription is a typed iterator over the server's live push stream
-// (GET /v1/subscribe over WebSocket by default, GET /v1/events over
-// SSE with WithSSE). Next blocks for the next event; a broken
-// transport reconnects automatically, resuming alerts from the highest
-// delivered Alert.Seq and suppressing cube_delta replays at or below
-// the highest delivered revision — so across any number of
-// reconnects, delivery is effectively exactly-once for alerts (the
-// at-least-once wire stream deduplicated by Seq) and monotone for
-// revisions. Stats snapshots always flow.
+// Subscription is a typed iterator over the server's live push stream,
+// GET /v1/events over Server-Sent Events. Next blocks for the next
+// event; a broken stream reconnects automatically, resuming alerts
+// from the highest delivered Alert.Seq and suppressing cube_delta
+// replays at or below the highest delivered revision — so across any
+// number of reconnects, delivery is effectively exactly-once for
+// alerts (the at-least-once wire stream deduplicated by Seq) and
+// monotone for revisions. Stats snapshots always flow.
 //
 // Next must be called from one goroutine at a time; Close and Drop are
 // safe to call concurrently with it.
 type Subscription struct {
 	c        *Client
 	channels []string
-	useSSE   bool
 	wait     time.Duration
 
 	// Resume cursors, owned by the Next goroutine.
@@ -43,18 +39,13 @@ type Subscription struct {
 
 	mu        sync.Mutex
 	closed    bool
-	connected bool // a transport was established at least once
-	wsConn    *ws.Conn
-	sseBody   io.ReadCloser
-	sseScan   *bufio.Reader
+	connected bool   // a transport was established at least once
+	end       func() // ends the open stream
+	scan      *bufio.Reader
 }
 
 // SubscribeOption tunes a Subscription at construction time.
 type SubscribeOption func(*Subscription)
-
-// WithSSE streams over GET /v1/events (Server-Sent Events) instead of
-// WebSocket — for environments where only plain HTTP flows.
-func WithSSE() SubscribeOption { return func(s *Subscription) { s.useSSE = true } }
 
 // WithReconnectWait sets the pause before a broken transport is
 // redialed (default 200ms).
@@ -141,14 +132,11 @@ func (s *Subscription) Drop() { s.dropTransport() }
 
 func (s *Subscription) dropTransport() {
 	s.mu.Lock()
-	wsc, body := s.wsConn, s.sseBody
-	s.wsConn, s.sseBody, s.sseScan = nil, nil, nil
+	end := s.end
+	s.end, s.scan = nil, nil
 	s.mu.Unlock()
-	if wsc != nil {
-		wsc.Close()
-	}
-	if body != nil {
-		body.Close()
+	if end != nil {
+		end()
 	}
 }
 
@@ -171,77 +159,56 @@ func (s *Subscription) resumeQuery() string {
 	return req.Encode().Encode()
 }
 
-// connect establishes the transport. A handshake rejected with an HTTP
+// connect opens the event stream. A request rejected with an HTTP
 // error becomes a typed *APIError (terminal — reconnecting cannot fix
-// a 401/403/404).
+// a 401/403/404). ctx bounds the connect only: an open stream lives
+// until Close, Drop or a broken connection. It is also exempt from the
+// whole-request Timeout of the caller's http.Client, which would
+// otherwise cut it and force a redial every Timeout.
 func (s *Subscription) connect(ctx context.Context) error {
 	if s.isClosed() {
 		return ErrSubscriptionClosed
 	}
-	if s.useSSE {
-		return s.connectSSE(ctx)
-	}
-	return s.connectWS(ctx)
-}
-
-func (s *Subscription) connectWS(ctx context.Context) error {
-	header := http.Header{}
-	s.c.authorize(header)
-	conn, err := ws.Dial(ctx, s.c.base+"/v1/subscribe?"+s.resumeQuery(), header)
+	streamCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	connecting := context.AfterFunc(ctx, cancel)
+	req, err := http.NewRequestWithContext(streamCtx, http.MethodGet, s.c.base+"/v1/events?"+s.resumeQuery(), nil)
 	if err != nil {
-		var hs *ws.HandshakeError
-		if errors.As(err, &hs) {
-			return apiError(hs.StatusCode, hs.Body)
-		}
-		return err
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		conn.Close()
-		return ErrSubscriptionClosed
-	}
-	s.wsConn = conn
-	s.markConnectedLocked()
-	s.mu.Unlock()
-	return nil
-}
-
-// markConnectedLocked counts re-established transports; the caller
-// holds s.mu.
-func (s *Subscription) markConnectedLocked() {
-	if s.connected {
-		s.reconnects.Add(1)
-	}
-	s.connected = true
-}
-
-func (s *Subscription) connectSSE(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.c.base+"/v1/events?"+s.resumeQuery(), nil)
-	if err != nil {
+		cancel()
 		return err
 	}
 	req.Header.Set("Accept", "text/event-stream")
 	s.c.authorize(req.Header)
-	resp, err := s.c.hc.Do(req)
+	hc := *s.c.hc
+	hc.Timeout = 0
+	resp, err := hc.Do(req)
+	if !connecting() { // ctx ended during the connect, and cancel ran
+		if err == nil {
+			resp.Body.Close()
+		}
+		return ctx.Err()
+	}
 	if err != nil {
+		cancel()
 		return err
 	}
+	end := func() { cancel(); resp.Body.Close() }
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
+		end()
 		return apiError(resp.StatusCode, body)
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		resp.Body.Close()
+		end()
 		return ErrSubscriptionClosed
 	}
-	s.sseBody = resp.Body
-	s.sseScan = bufio.NewReader(resp.Body)
-	s.markConnectedLocked()
-	s.mu.Unlock()
+	s.end = end
+	s.scan = bufio.NewReader(resp.Body)
+	if s.connected {
+		s.reconnects.Add(1)
+	}
+	s.connected = true
 	return nil
 }
 
@@ -258,7 +225,7 @@ func (s *Subscription) Next(ctx context.Context) (wire.Event, error) {
 			return wire.Event{}, ErrSubscriptionClosed
 		}
 		s.mu.Lock()
-		connected := s.wsConn != nil || s.sseBody != nil
+		connected := s.scan != nil
 		s.mu.Unlock()
 		if !connected {
 			if err := s.connect(ctx); err != nil {
@@ -285,47 +252,20 @@ func (s *Subscription) Next(ctx context.Context) (wire.Event, error) {
 	}
 }
 
-// read blocks for one decoded event from the current transport. The
-// context is honoured by a watchdog that severs the transport — both
-// transports only unblock on connection death.
+// read blocks for one decoded event from the current stream. The
+// context is honoured by severing the stream — a blocked body read
+// only unblocks on connection death. Once read returns, a later end of
+// ctx leaves the stream alone.
 func (s *Subscription) read(ctx context.Context) (wire.Event, error) {
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			s.dropTransport()
-		case <-stop:
-		}
-	}()
+	stop := context.AfterFunc(ctx, s.dropTransport)
+	defer stop()
 	s.mu.Lock()
-	wsc, scan := s.wsConn, s.sseScan
+	scan := s.scan
 	s.mu.Unlock()
-	switch {
-	case wsc != nil:
-		return readWS(wsc)
-	case scan != nil:
-		return readSSE(scan)
-	default:
+	if scan == nil {
 		return wire.Event{}, fmt.Errorf("hod: subscription transport gone")
 	}
-}
-
-func readWS(conn *ws.Conn) (wire.Event, error) {
-	for {
-		op, payload, err := conn.ReadMessage()
-		if err != nil {
-			return wire.Event{}, err
-		}
-		if op != ws.OpText {
-			continue
-		}
-		var ev wire.Event
-		if err := json.Unmarshal(payload, &ev); err != nil {
-			return wire.Event{}, fmt.Errorf("hod: bad push event: %w", err)
-		}
-		return ev, nil
-	}
+	return readSSE(scan)
 }
 
 // readSSE parses one "event:/data:" frame, skipping ": hb" comment

@@ -9,8 +9,7 @@ import (
 )
 
 // EventKind names one kind of push event delivered over the live
-// subscription endpoints (GET /v1/subscribe over WebSocket, GET
-// /v1/events over SSE).
+// subscription endpoint (GET /v1/events, Server-Sent Events).
 type EventKind string
 
 // The push event kinds of the v1 protocol.
@@ -111,9 +110,8 @@ func ParseChannel(s string) (Channel, error) {
 
 // SubscribeRequest selects the channels of one subscription and where
 // to resume each plant's stream. It travels as the query string of
-// GET /v1/subscribe and GET /v1/events — Encode and
-// DecodeSubscribeRequest are the one grammar both transports and both
-// ends share.
+// GET /v1/events — Encode and DecodeSubscribeRequest are the one
+// grammar both ends share.
 type SubscribeRequest struct {
 	// Channels lists wire channel names ("alerts:plant-a", "cube:*").
 	Channels []string `json:"channels"`
