@@ -268,39 +268,41 @@ func TestStalledSubscriberCoalesces(t *testing.T) {
 // push endpoint: the subscription is refused before the stream
 // starts, with the typed wire envelope.
 func TestForeignTenantSubscribeRejected(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	srv := New(Options{Tenants: testTenants()})
-	ts := httptest.NewServer(srv.Handler())
-	defer func() { ts.Close(); srv.Close() }()
-	op := hod.NewClient(ts.URL, hod.WithAPIKey("key-op"))
-	p, err := plant.Simulate(plant.Config{Seed: 3, Lines: 1, MachinesPerLine: 1, JobsPerMachine: 1, PhaseSamples: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := op.Register(ctx, topoFromPlant("p2", p)); err != nil {
-		t.Fatal(err)
-	}
+	t.Run("sse", func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv := New(Options{Tenants: testTenants()})
+		ts := httptest.NewServer(srv.Handler())
+		defer func() { ts.Close(); srv.Close() }()
+		op := hod.NewClient(ts.URL, hod.WithAPIKey("key-op"))
+		p, err := plant.Simulate(plant.Config{Seed: 3, Lines: 1, MachinesPerLine: 1, JobsPerMachine: 1, PhaseSamples: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := op.Register(ctx, topoFromPlant("p2", p)); err != nil {
+			t.Fatal(err)
+		}
 
-	scoped := hod.NewClient(ts.URL, hod.WithAPIKey("key-acme")) // granted p1 only
-	_, err = scoped.Subscribe(ctx, wire.SubscribeRequest{Channels: []string{"alerts:p2"}})
-	if !errors.Is(err, hod.ErrForbidden) {
-		t.Fatalf("foreign-tenant subscribe: err = %v, want ErrForbidden", err)
-	}
-	var apiErr *hod.APIError
-	if !errors.As(err, &apiErr) || apiErr.Code != wire.CodeForbidden || apiErr.Status != 403 {
-		t.Fatalf("err = %#v, want typed envelope with code %q", err, wire.CodeForbidden)
-	}
+		scoped := hod.NewClient(ts.URL, hod.WithAPIKey("key-acme")) // granted p1 only
+		_, err = scoped.Subscribe(ctx, wire.SubscribeRequest{Channels: []string{"alerts:p2"}})
+		if !errors.Is(err, hod.ErrForbidden) {
+			t.Fatalf("foreign-tenant subscribe: err = %v, want ErrForbidden", err)
+		}
+		var apiErr *hod.APIError
+		if !errors.As(err, &apiErr) || apiErr.Code != wire.CodeForbidden || apiErr.Status != 403 {
+			t.Fatalf("err = %#v, want typed envelope with code %q", err, wire.CodeForbidden)
+		}
 
-	// No key at all in authenticated mode: 401 before the stream.
-	anon := hod.NewClient(ts.URL)
-	if _, err := anon.Subscribe(ctx, wire.SubscribeRequest{Channels: []string{"alerts:p2"}}); !errors.Is(err, hod.ErrUnauthorized) {
-		t.Fatalf("anonymous subscribe: err = %v, want ErrUnauthorized", err)
-	}
-	// Unknown plant: typed 404, same pre-stream path.
-	if _, err := op.Subscribe(ctx, wire.SubscribeRequest{Channels: []string{"alerts:ghost"}}); !errors.Is(err, hod.ErrUnknownPlant) {
-		t.Fatalf("unknown-plant subscribe: err = %v, want ErrUnknownPlant", err)
-	}
+		// No key at all in authenticated mode: 401 before the stream.
+		anon := hod.NewClient(ts.URL)
+		if _, err := anon.Subscribe(ctx, wire.SubscribeRequest{Channels: []string{"alerts:p2"}}); !errors.Is(err, hod.ErrUnauthorized) {
+			t.Fatalf("anonymous subscribe: err = %v, want ErrUnauthorized", err)
+		}
+		// Unknown plant: typed 404, same pre-stream path.
+		if _, err := op.Subscribe(ctx, wire.SubscribeRequest{Channels: []string{"alerts:ghost"}}); !errors.Is(err, hod.ErrUnknownPlant) {
+			t.Fatalf("unknown-plant subscribe: err = %v, want ErrUnknownPlant", err)
+		}
+	})
 }
 
 // TestConcurrentSubscribersDuringIngest races N mixed-kind
