@@ -2,7 +2,10 @@ package olap
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 
 	"repro/pkg/hod/wire"
 )
@@ -34,10 +37,14 @@ type Result struct {
 }
 
 // Dim is one dimension's dictionary: member name ↔ interned id. Both
-// intern.Table and intern.DynTable are one.
+// intern.Table and intern.DynTable are one. A dictionary only ever
+// appends names, so its length is its version; Ranks relies on that
+// and on comparing dictionaries by identity (implementations are
+// pointers).
 type Dim interface {
 	ID(name string) (int32, bool)
 	Names() []string // id → name; read-only
+	Len() int
 }
 
 // View is a cube as the evaluator sees it: the dimension names, a
@@ -50,6 +57,9 @@ type View struct {
 	// the number of cells (IntCube.Scan, or a loop of it). The owner may
 	// hold a lock around the visits, so visit only compares and copies.
 	Scan func(visit func(*IntCell)) int
+	// Ranks is the dictionaries' owner's rank cache; nil ranks every
+	// dictionary afresh for the one query.
+	Ranks *Ranks
 }
 
 func (v View) dim(name string) (int, error) {
@@ -90,6 +100,9 @@ func (v View) collect(where map[string]string) ([]IntCell, int, error) {
 		return nil, v.Scan(nil), nil
 	}
 	var cells []IntCell
+	if len(pins) == 0 {
+		cells = make([]IntCell, 0, v.Scan(nil)) // every cell matches
+	}
 	total := v.Scan(func(c *IntCell) {
 		for _, p := range pins {
 			if c.Coord[p.dim] != p.id {
@@ -101,63 +114,181 @@ func (v View) collect(where map[string]string) ([]IntCell, int, error) {
 	return cells, total, nil
 }
 
-// order ranks every dimension's members by name: for each dimension,
-// id → name and id → position of that name among the sorted names.
-// Ordering cells by rank is ordering their coordinates element-wise by
-// name, whatever ids the dictionary happened to assign — which fixes
-// the cell order of an answer and, with it, the order float sums fold
-// in. It is taken per query, after the scan: a dictionary that grows
-// under ingest then covers every id the scan saw.
-type order struct {
-	names [][]string
-	rank  [][]int32
+// Ranks caches, per dimension, the position of every member's name
+// among its dictionary's names. Ordering cells by rank is ordering
+// their coordinates element-wise by name, whatever ids the dictionary
+// happened to assign — which fixes the cell order of an answer and,
+// with it, the order float sums fold in. A dictionary is re-ranked
+// only when it grew (its new names are sorted and merged in) or was
+// replaced, so a query on settled dictionaries sorts no names. The
+// zero value is ready; it is safe for concurrent queries while ingest
+// appends to the dictionaries.
+type Ranks struct {
+	mu    sync.Mutex
+	dicts [len(IntCoord{})]*rankTable
 }
 
-func (v View) order() order {
-	o := order{names: make([][]string, len(v.Dict)), rank: make([][]int32, len(v.Dict))}
-	for d, dict := range v.Dict {
-		names := dict.Names()
-		byName := make([]int32, len(names))
-		for id := range byName {
-			byName[id] = int32(id)
+// rankTable is one dictionary's ranks at one length. It is never
+// changed once built: a query keeps the tables it was handed while a
+// later query builds their successors.
+type rankTable struct {
+	dict   Dim
+	names  []string // id → name
+	byName []int32  // ids in name order
+	rank   []int32  // id → position in byName
+}
+
+// order is the rank tables of one query, one per dimension.
+type order [len(IntCoord{})]*rankTable
+
+// tables returns the current rank table of every dictionary. It is
+// called after the scan, so each covers every id the scan saw: ids are
+// interned before a cell can hold them.
+func (r *Ranks) tables(dicts []Dim) order {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var o order
+	for d, dict := range dicts {
+		t := r.dicts[d]
+		if t == nil || t.dict != dict || len(t.names) != dict.Len() {
+			t = rank(dict, t)
+			r.dicts[d] = t
 		}
-		sort.Slice(byName, func(i, j int) bool { return names[byName[i]] < names[byName[j]] })
-		rank := make([]int32, len(names))
-		for pos, id := range byName {
-			rank[id] = int32(pos)
-		}
-		o.names[d], o.rank[d] = names, rank
+		o[d] = t
 	}
 	return o
 }
 
-func (o order) sort(cells []IntCell) {
-	sort.Slice(cells, func(i, j int) bool {
-		a, b := &cells[i].Coord, &cells[j].Coord
-		for d, rank := range o.rank {
-			if a[d] != b[d] {
-				return rank[a[d]] < rank[b[d]]
-			}
+// rank ranks dict's names, reusing prev's ranking of the ones it
+// already holds when prev is the same dictionary at an earlier length.
+func rank(dict Dim, prev *rankTable) *rankTable {
+	names := dict.Names()
+	var ranked []int32
+	if prev != nil && prev.dict == dict && len(prev.names) <= len(names) {
+		ranked = prev.byName
+	}
+	fresh := make([]int32, len(names)-len(ranked))
+	for i := range fresh {
+		fresh[i] = int32(len(ranked) + i)
+	}
+	slices.SortFunc(fresh, func(a, b int32) int { return strings.Compare(names[a], names[b]) })
+	byName := make([]int32, 0, len(names))
+	i, j := 0, 0
+	for i < len(ranked) && j < len(fresh) {
+		if names[fresh[j]] < names[ranked[i]] {
+			byName = append(byName, fresh[j])
+			j++
+		} else {
+			byName = append(byName, ranked[i])
+			i++
 		}
-		return false
-	})
+	}
+	byName = append(append(byName, ranked[i:]...), fresh[j:]...)
+	pos := make([]int32, len(names))
+	for p, id := range byName {
+		pos[id] = int32(p)
+	}
+	return &rankTable{dict: dict, names: names, byName: byName, rank: pos}
 }
 
-// wire sorts the cells and translates them — the one place ids turn
-// back into names.
-func (o order) wire(cells []IntCell) []wire.CubeCell {
+// order returns the query's rank tables, from the owner's cache when
+// there is one.
+func (v View) order() order {
+	r := v.Ranks
+	if r == nil {
+		r = new(Ranks)
+	}
+	return r.tables(v.Dict)
+}
+
+// sort returns the positions of cells ordered by the ranks of dims,
+// most significant first. It is an LSD radix sort whose digits are
+// dense ranks, run over a position array, so no cell moves. Adjacent
+// dimensions share a digit while the product of their rank spans stays
+// within the cell count (or 1 024), so a pass costs O(cells) however
+// wide the digit; a dimension every cell agrees on spans one rank and
+// costs nothing.
+func (o *order) sort(cells []IntCell, dims []int) []int32 {
+	n := len(cells)
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	if n < 2 {
+		return idx
+	}
+	var lo, span [len(IntCoord{})]int32 // by position in dims
+	for k, d := range dims {
+		rank := o[d].rank
+		l, h := rank[cells[0].Coord[d]], rank[cells[0].Coord[d]]
+		for i := range cells {
+			r := rank[cells[i].Coord[d]]
+			l, h = min(l, r), max(h, r)
+		}
+		lo[k], span[k] = l, h-l+1
+	}
+	limit := int64(max(n, 1<<10))
+	keys := make([]int32, n) // by cell, not by position
+	tmp := make([]int32, n)
+	var count []int32
+	for end := len(dims); end > 0; {
+		// The digit is dims[start:end]: as many dimensions as fit.
+		start, width := end-1, int64(span[end-1])
+		for start > 0 && width*int64(span[start-1]) <= limit {
+			start--
+			width *= int64(span[start])
+		}
+		if width > 1 {
+			for i := range cells {
+				key := int32(0)
+				for k := start; k < end; k++ {
+					key = key*span[k] + o[dims[k]].rank[cells[i].Coord[dims[k]]] - lo[k]
+				}
+				keys[i] = key
+			}
+			if cap(count) < int(width) {
+				count = make([]int32, width)
+			}
+			count = count[:width]
+			clear(count)
+			for _, key := range keys {
+				count[key]++
+			}
+			next := int32(0)
+			for key, c := range count {
+				count[key] = next
+				next += c
+			}
+			for _, i := range idx {
+				key := keys[i]
+				tmp[count[key]] = i
+				count[key]++
+			}
+			idx, tmp = tmp, idx
+		}
+		end = start
+	}
+	return idx
+}
+
+// wire translates cells, taken in the order perm gives (nil: as they
+// are), into answer cells — the one place ids turn back into names.
+// Coordinate position k of a cell holds an id of dimension dims[k].
+func (o *order) wire(cells []IntCell, perm []int32, dims []int) []wire.CubeCell {
 	if len(cells) == 0 {
 		return nil
 	}
-	o.sort(cells)
-	n := len(o.names)
+	n := len(dims)
 	coords := make([]string, len(cells)*n) // every cell's coordinate, one allocation
 	out := make([]wire.CubeCell, len(cells))
-	for i := range cells {
+	for i := range out {
 		c := &cells[i]
+		if perm != nil {
+			c = &cells[perm[i]]
+		}
 		coord := coords[i*n : (i+1)*n : (i+1)*n]
-		for d := range coord {
-			coord[d] = o.names[d][c.Coord[d]]
+		for k, d := range dims {
+			coord[k] = o[d].names[c.Coord[k]]
 		}
 		out[i] = wire.CubeCell{
 			Coord: coord,
@@ -175,14 +306,22 @@ func (v View) slice(where map[string]string) ([]wire.CubeCell, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return v.order().wire(cells), total, nil
+	dims := make([]int, len(v.Dims))
+	for d := range dims {
+		dims[d] = d
+	}
+	o := v.order()
+	return o.wire(cells, o.sort(cells, dims), dims), total, nil
 }
 
 // groupBy aggregates the matching cells onto the keep dimensions — the
 // shared engine behind roll-up (no constraints) and drill-down
-// (constraints plus one expanded dimension). Matching cells are folded
-// in sorted coordinate order: a float sum is not associative, so scan
-// order would otherwise leak last-ulp jitter into equal queries.
+// (constraints plus one expanded dimension). The matching cells are
+// ordered by the kept dimensions, in keep order, and then by the rest
+// in cube order, so each group is one run in which its cells come in
+// full coordinate order: a float sum is not associative, and folding a
+// group in that order keeps scan order out of its last bits. Runs are
+// folded in turn, so the groups come out in kept-coordinate order.
 func (v View) groupBy(where map[string]string, keep []string) ([]wire.CubeCell, int, error) {
 	if len(keep) == 0 {
 		return nil, 0, fmt.Errorf("%w: group-by must keep at least one dimension", ErrSchema)
@@ -205,26 +344,45 @@ func (v View) groupBy(where map[string]string, keep []string) ([]wire.CubeCell, 
 		return nil, 0, err
 	}
 	o := v.order()
-	o.sort(cells)
-	grouped := NewIntCube()
-	for i := range cells {
-		c := &cells[i]
-		var coord IntCoord
-		for k, idx := range keepIdx {
-			coord[k] = c.Coord[idx]
-		}
-		if err := grouped.AddAggregate(coord, c.Count, c.Sum, c.Min, c.Max); err != nil {
-			return nil, 0, err
+	dims := append([]int(nil), keepIdx...)
+	for d := range v.Dims {
+		if !slices.Contains(keepIdx, d) {
+			dims = append(dims, d)
 		}
 	}
-	var kept order
-	for _, idx := range keepIdx {
-		kept.names = append(kept.names, o.names[idx])
-		kept.rank = append(kept.rank, o.rank[idx])
+	perm := o.sort(cells, dims)
+	var groups []IntCell
+	for start := 0; start < len(perm); {
+		first := &cells[perm[start]]
+		var g IntCell
+		for k, d := range keepIdx {
+			g.Coord[k] = first.Coord[d]
+		}
+		end := start
+		for ; end < len(perm); end++ {
+			c := &cells[perm[end]]
+			if !sameOn(&c.Coord, &first.Coord, keepIdx) {
+				break
+			}
+			if err := g.merge(c.Count, c.Sum, c.Min, c.Max); err != nil {
+				return nil, 0, err
+			}
+		}
+		groups = append(groups, g)
+		start = end
 	}
-	cells = cells[:0]
-	grouped.Scan(func(c *IntCell) { cells = append(cells, *c) })
-	return kept.wire(cells), total, nil
+	return o.wire(groups, nil, keepIdx), total, nil
+}
+
+// sameOn reports whether two coordinates agree on every dimension of
+// dims.
+func sameOn(a, b *IntCoord, dims []int) bool {
+	for _, d := range dims {
+		if a[d] != b[d] {
+			return false
+		}
+	}
+	return true
 }
 
 // members answers with the distinct members of one dimension, sorted,
@@ -242,14 +400,16 @@ func (v View) members(dim string) ([]string, int, error) {
 		}
 		seen[id] = true
 	})
-	names := v.Dict[d].Names()
+	if len(seen) == 0 {
+		return nil, total, nil
+	}
+	t := v.order()[d]
 	var out []string
-	for id, ok := range seen {
-		if ok {
-			out = append(out, names[id])
+	for _, id := range t.byName {
+		if int(id) < len(seen) && seen[id] {
+			out = append(out, t.names[id])
 		}
 	}
-	sort.Strings(out)
 	return out, total, nil
 }
 

@@ -42,6 +42,7 @@ type Cube struct {
 	dims  []string
 	dict  []*intern.DynTable
 	cells *IntCube
+	ranks Ranks
 }
 
 // New creates a cube with the given dimension names — at most as many
@@ -74,7 +75,7 @@ func (c *Cube) view() View {
 	for d, t := range c.dict {
 		dict[d] = t
 	}
-	return View{Dims: c.dims, Dict: dict, Scan: c.cells.Scan}
+	return View{Dims: c.dims, Dict: dict, Scan: c.cells.Scan, Ranks: &c.ranks}
 }
 
 // intern vets a string coordinate and resolves it to ids, growing the

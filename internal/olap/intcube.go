@@ -77,39 +77,64 @@ func (c *IntCell) merge(count int, sum, min, max float64) error {
 }
 
 // IntCube is a dense-logical, sparse-physical cube over interned
-// coordinates: cells exist only once a fact lands in them.
+// coordinates: cells exist only once a fact lands in them. They are
+// stored by value in fixed-size pages, in creation order, and found
+// through an index by coordinate: a scan walks memory in order, the
+// store holds no pointer for the collector to trace, and a cell never
+// moves once made, so a *IntCell stays good.
 type IntCube struct {
-	cells map[IntCoord]*IntCell
+	index map[IntCoord]int32 // coordinate → cell number
+	pages [][]IntCell        // cell number n at pages[n/cellPage][n%cellPage]
+	n     int
 }
+
+// cellPage is the number of cells per page.
+const cellPage = 256
 
 // NewIntCube returns an empty interned cube.
 func NewIntCube() *IntCube {
-	return &IntCube{cells: make(map[IntCoord]*IntCell)}
+	return &IntCube{index: make(map[IntCoord]int32)}
+}
+
+func (c *IntCube) at(n int32) *IntCell { return &c.pages[n/cellPage][n%cellPage] }
+
+// add materialises the cell at coord, which must be new, holding agg.
+func (c *IntCube) add(coord IntCoord, agg IntCell) {
+	if c.n%cellPage == 0 {
+		c.pages = append(c.pages, make([]IntCell, cellPage))
+	}
+	agg.Coord = coord
+	c.pages[c.n/cellPage][c.n%cellPage] = agg
+	c.index[coord] = int32(c.n)
+	c.n++
 }
 
 // CellAt returns the cell at coord, or nil.
-func (c *IntCube) CellAt(coord IntCoord) *IntCell { return c.cells[coord] }
+func (c *IntCube) CellAt(coord IntCoord) *IntCell {
+	if n, ok := c.index[coord]; ok {
+		return c.at(n)
+	}
+	return nil
+}
 
 // AddFact folds one measure into the cell at coord, creating it on
 // first touch. Non-finite measures and sum overflow are refused with
 // ErrNonFinite, and a refused first fact materialises no cell.
 func (c *IntCube) AddFact(coord IntCoord, value float64) error {
-	cell, ok := c.cells[coord]
-	if !ok {
-		cell = &IntCell{Coord: coord}
+	if n, ok := c.index[coord]; ok {
+		return c.at(n).Observe(value)
 	}
-	if err := cell.Observe(value); err != nil {
+	var fresh IntCell
+	if err := fresh.Observe(value); err != nil {
 		return err
 	}
-	if !ok {
-		c.cells[coord] = cell
-	}
+	c.add(coord, fresh)
 	return nil
 }
 
 // AddAggregate merges one pre-aggregated cell — the primitive behind
-// group-by and snapshot restore. The aggregate must be finite and hold
-// at least one observation.
+// Cube.AddAggregate. The aggregate must be finite and hold at least
+// one observation.
 func (c *IntCube) AddAggregate(coord IntCoord, count int, sum, min, max float64) error {
 	if count <= 0 {
 		return fmt.Errorf("%w: aggregate count %d", ErrSchema, count)
@@ -119,26 +144,28 @@ func (c *IntCube) AddAggregate(coord IntCoord, count int, sum, min, max float64)
 			return fmt.Errorf("%w: %v", ErrNonFinite, v)
 		}
 	}
-	cell, ok := c.cells[coord]
-	if !ok {
-		// A fresh cell cannot overflow: its sum is the vetted input.
-		cell = &IntCell{Coord: coord}
-		c.cells[coord] = cell
+	if n, ok := c.index[coord]; ok {
+		return c.at(n).merge(count, sum, min, max)
 	}
-	return cell.merge(count, sum, min, max)
+	// A fresh cell cannot overflow: its sum is the vetted input.
+	var fresh IntCell
+	_ = fresh.merge(count, sum, min, max)
+	c.add(coord, fresh)
+	return nil
 }
 
 // Len returns the number of materialised cells.
-func (c *IntCube) Len() int { return len(c.cells) }
+func (c *IntCube) Len() int { return c.n }
 
-// Scan calls visit, when it is not nil, on every cell in map order and
-// returns the number of cells. Callers needing determinism sort what
-// they collected.
+// Scan calls visit, when it is not nil, on every cell in creation
+// order and returns the number of cells.
 func (c *IntCube) Scan(visit func(*IntCell)) int {
 	if visit != nil {
-		for _, cell := range c.cells {
-			visit(cell)
+		for p, page := range c.pages {
+			for i := range page[:min(cellPage, c.n-p*cellPage)] {
+				visit(&page[i])
+			}
 		}
 	}
-	return len(c.cells)
+	return c.n
 }

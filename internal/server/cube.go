@@ -1,7 +1,9 @@
 package server
 
 import (
+	"errors"
 	"net/http"
+	"sync"
 
 	"repro/internal/olap"
 	"repro/pkg/hod/wire"
@@ -30,8 +32,9 @@ var cubeDims = wire.CubeDims()
 func (ps *plantState) cubeView() olap.View {
 	in := ps.in
 	return olap.View{
-		Dims: cubeDims,
-		Dict: []olap.Dim{in.lines, in.machines, in.jobs, in.phases, in.sensors},
+		Dims:  cubeDims,
+		Dict:  []olap.Dim{in.lines, in.machines, in.jobs, in.phases, in.sensors},
+		Ranks: &ps.ranks,
 		Scan: func(visit func(*olap.IntCell)) int {
 			total := 0
 			for _, ms := range ps.mstores {
@@ -73,7 +76,9 @@ func (ms *machineStore) eachCell(visit func(*olap.IntCell)) {
 //
 // op defaults to slice. where repeats as dim=member pairs; keep is a
 // comma-separated dimension list. Cells come back in deterministic
-// coordinate order, so equal queries yield byte-identical bodies.
+// coordinate order, so equal queries yield byte-identical bodies. A
+// malformed question is a 400; a group whose float sum overflows is
+// the server's limit, not the client's fault, and answers 500 internal.
 func (s *Server) handleCube(w http.ResponseWriter, r *http.Request, ps *plantState) {
 	// The grammar is wire.CubeQueryParams — the same Encode/Decode pair
 	// the SDK builds requests with, so client and server cannot drift.
@@ -83,12 +88,23 @@ func (s *Server) handleCube(w http.ResponseWriter, r *http.Request, ps *plantSta
 		return
 	}
 	res, err := ps.cubeView().Answer(olap.Query{Op: p.Op, Dim: p.Dim, Keep: p.Keep, Where: p.Where})
-	if err != nil {
+	switch {
+	case errors.Is(err, olap.ErrNonFinite):
+		writeErr(w, http.StatusInternalServerError, wire.CodeInternal, err.Error())
+		return
+	case err != nil:
 		writeErr(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, wire.CubeResponse{
+	buf := cubeBufs.Get().(*[]byte)
+	defer cubeBufs.Put(buf)
+	*buf, err = wire.AppendCubeResponse((*buf)[:0], &wire.CubeResponse{
 		Plant: ps.topo.ID, Op: res.Op, Dims: res.Dims, Where: res.Where,
 		Members: res.Members, Cells: res.Cells, TotalCells: res.TotalCells,
 	})
+	writeEncoded(w, http.StatusOK, *buf, err)
 }
+
+// cubeBufs recycles /cube body buffers: a machine slice is a few
+// hundred kilobytes, encoded once and dropped after the write.
+var cubeBufs = sync.Pool{New: func() any { return new([]byte) }}

@@ -338,6 +338,43 @@ func TestCubeSkipsNonFiniteRecords(t *testing.T) {
 	}
 }
 
+// TestCubeSumOverflowAnswers500: two accepted samples of 1e308 on two
+// machines roll up onto their shared sensor with a sum past float64's
+// range. The question is valid and the data was accepted, so the
+// refusal is the server's limit — 500 with the internal code — and not
+// a 400 that blames the client. Questions whose groups do not overflow
+// still answer.
+func TestCubeSumOverflowAnswers500(t *testing.T) {
+	srv := New(Options{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	register(t, ts.URL, topoWithDefaults(Topology{ID: "plant-of", Lines: []TopoLine{{ID: "l", Machines: []string{"l/m1", "l/m2"}}}}))
+	recs := []Record{
+		{Machine: "l/m1", Job: "j1", Phase: "print", Sensor: "temp-a", T: 0, Value: 1e308},
+		{Machine: "l/m2", Job: "j1", Phase: "print", Sensor: "temp-a", T: 0, Value: 1e308},
+	}
+	mustStatus(t, postRetry(t, ts.URL+"/v1/plants/plant-of/ingest", "application/x-ndjson", ndjson(recs)), http.StatusAccepted)
+	waitDrained(t, ts.URL, "plant-of", uint64(len(recs)))
+
+	for _, q := range []string{"?op=rollup&keep=sensor", "?op=drilldown&dim=phase"} {
+		resp, err := http.Get(ts.URL + "/v1/plants/plant-of/cube" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := mustStatus(t, resp, http.StatusInternalServerError)
+		var env wire.ErrorEnvelope
+		if err := json.Unmarshal(body, &env); err != nil || env.Err.Code != wire.CodeInternal || !strings.Contains(env.Err.Message, "sum overflow") {
+			t.Fatalf("%s: error body %s", q, body)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/plants/plant-of/cube?op=rollup&keep=machine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustStatus(t, resp, http.StatusOK)
+}
+
 // TestRestoreRejectsMalformedCells: a forged backup cannot smuggle a
 // malformed cube cell past the gate — cells where applyState will have
 // built no grid (beyond the sensor series, or beside a phase without

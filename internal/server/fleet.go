@@ -73,6 +73,10 @@ type plantState struct {
 	in      *plantInterns
 	shardOf []int32
 
+	// ranks caches the cube's name order of the dictionaries in in, for
+	// every /cube answer.
+	ranks olap.Ranks
+
 	mstores []*machineStore
 	env     *envStore
 	dataRev atomic.Uint64

@@ -615,6 +615,13 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 // an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	body, err := json.Marshal(v)
+	writeEncoded(w, code, body, err)
+}
+
+// writeEncoded writes a JSON body its handler encoded, and the
+// newline every body ends with; err is the encoder's, answered with
+// the 500 envelope instead.
+func writeEncoded(w http.ResponseWriter, code int, body []byte, err error) {
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, wire.CodeInternal, "encoding response: "+err.Error())
 		return

@@ -224,7 +224,7 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 			if out == nil {
 				return nil
 			}
-			if err := json.Unmarshal(data, out); err != nil {
+			if err := decodeBody(data, out); err != nil {
 				return fmt.Errorf("hod: bad response body: %w", err)
 			}
 			return nil
@@ -238,6 +238,20 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 			return apiError(resp.StatusCode, data)
 		}
 	}
+}
+
+// decodeBody decodes a 2xx body into out. The cube body, the largest
+// and most frequent read, has its own single-pass decoder.
+func decodeBody(data []byte, out any) error {
+	cube, ok := out.(*wire.CubeResponse)
+	if !ok {
+		return json.Unmarshal(data, out)
+	}
+	r, err := wire.DecodeCubeResponse(data)
+	if err == nil {
+		*cube = r
+	}
+	return err
 }
 
 // authorize attaches the configured API key, if any.

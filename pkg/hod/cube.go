@@ -1,6 +1,7 @@
 package hod
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/olap"
@@ -91,8 +92,13 @@ func (c *Cube) Len() int { return c.c.Len() }
 // Query answers one cube question with the identical evaluation (and
 // deterministic cell ordering) the serving layer applies to
 // GET /v1/plants/{id}/cube. The returned response carries no plant id.
+// A malformed question is ErrBadRequest; a group whose float sum
+// overflows is not the question's fault, and its error is not one.
 func (c *Cube) Query(q CubeQuery) (wire.CubeResponse, error) {
 	res, err := c.c.Answer(olap.Query{Op: q.Op, Where: q.Where, Keep: q.Keep, Dim: q.Dim})
+	if errors.Is(err, olap.ErrNonFinite) {
+		return wire.CubeResponse{}, fmt.Errorf("hod: cube answer: %w", err)
+	}
 	if err != nil {
 		return wire.CubeResponse{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}

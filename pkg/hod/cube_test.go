@@ -3,10 +3,12 @@ package hod_test
 import (
 	"context"
 	"errors"
+	"net/http"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/olap"
 	"repro/internal/server"
 	"repro/pkg/hod"
 	"repro/pkg/hod/wire"
@@ -136,5 +138,51 @@ func TestCubeFromRecordsIdempotent(t *testing.T) {
 
 	if _, err := hod.CubeFromRecords(topo, []wire.Record{{Machine: "ghost", Job: "j", Phase: "p", Sensor: "s"}}); !errors.Is(err, hod.ErrUnknownMachine) {
 		t.Fatalf("unknown machine: %v", err)
+	}
+}
+
+// TestCubeSumOverflowIsNotBadRequest: two samples of 1e308 are
+// accepted data, each its own cell; rolled up onto their shared sensor
+// the group sum overflows. The question was valid, so neither face of
+// the cube may call it a bad request: the embedded cube returns an
+// error wrapping olap.ErrNonFinite, the server a 500 internal.
+func TestCubeSumOverflowIsNotBadRequest(t *testing.T) {
+	topo := wire.Topology{ID: "of", Lines: []wire.TopoLine{{ID: "l1", Machines: []string{"l1/m1", "l1/m2"}}}}
+	recs := []wire.Record{
+		{Machine: "l1/m1", Job: "j1", Phase: "print", Sensor: "temp-a", T: 0, Value: 1e308},
+		{Machine: "l1/m2", Job: "j1", Phase: "print", Sensor: "temp-a", T: 0, Value: 1e308},
+	}
+	rollup := hod.CubeQuery{Op: wire.CubeOpRollup, Keep: []string{"sensor"}}
+
+	cube, err := hod.CubeFromRecords(topo, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = cube.Query(rollup)
+	if !errors.Is(err, olap.ErrNonFinite) || errors.Is(err, hod.ErrBadRequest) {
+		t.Fatalf("embedded: err = %v, want olap.ErrNonFinite and not hod.ErrBadRequest", err)
+	}
+
+	_, ts := newTestServer(t, server.Options{})
+	client := hod.NewClient(ts.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := client.Register(ctx, topo); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Ingest(ctx, "of", recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.WaitDrained(ctx, "of", uint64(len(recs))); err != nil {
+		t.Fatal(err)
+	}
+	_, err = client.Cube(ctx, "of", rollup)
+	var apiErr *hod.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError || apiErr.Code != wire.CodeInternal || errors.Is(err, hod.ErrBadRequest) {
+		t.Fatalf("served: err = %v, want a 500 internal that is not hod.ErrBadRequest", err)
+	}
+	// Per-machine groups hold one cell each: the same data answers.
+	if resp, err := client.Cube(ctx, "of", hod.CubeQuery{Op: wire.CubeOpRollup, Keep: []string{"machine"}}); err != nil || len(resp.Cells) != 2 {
+		t.Fatalf("rollup by machine: %+v, %v", resp, err)
 	}
 }

@@ -97,6 +97,12 @@ func TestGoldenWireCompat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
+		if r, ok := c.Value.(CubeResponse); ok {
+			// The cube body's own encoder is held to the same bytes.
+			if app, err := AppendCubeResponse(nil, &r); err != nil || !bytes.Equal(app, raw) {
+				t.Errorf("%s: AppendCubeResponse gives %s (%v), json.Marshal %s", c.Name, app, err, raw)
+			}
+		}
 		got[c.Name] = raw
 	}
 	if *updateGolden {
