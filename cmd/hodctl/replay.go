@@ -18,8 +18,9 @@ import (
 // cmdReplay streams a plantsim trace (sensors.csv, optionally
 // jobs.csv and environment.csv) through a running hodserve ingest API
 // via the typed SDK client — hod.Client owns the HTTP traffic and the
-// 429 + Retry-After backoff, so the CLI only batches CSV rows. The
-// summary reports how many shed batches the client had to re-send.
+// 429 + Retry-After backoff, so the CLI only batches and converts CSV
+// rows. The summary reports how many shed batches the client had to
+// re-send.
 func cmdReplay(args []string) error {
 	fs := newFlagSet("replay")
 	addr := fs.String("addr", "http://localhost:8080", "hodserve base URL")
@@ -126,9 +127,10 @@ func deriveTopology(plantID, path string) (wire.Topology, error) {
 	return topo, nil
 }
 
-// replayCSV streams one CSV file in row batches. Each chunk rides the
-// CSV wire format (the server decodes the same schemas plantsim
-// writes); hod.Client re-sends any batch the server sheds with 429.
+// replayCSV streams one CSV file in row batches. Each chunk is decoded
+// here with wire.DecodeCSV (the server takes no CSV) and sent through
+// hod.Client.Ingest as a binary frame; the client re-sends any batch
+// the server sheds with 429.
 func replayCSV(ctx context.Context, client *hod.Client, plantID, path string, batchRows int) (int, error) {
 	if batchRows < 1 {
 		batchRows = 1
@@ -151,8 +153,11 @@ func replayCSV(ctx context.Context, client *hod.Client, plantID, path string, ba
 		if len(rows) == 0 {
 			return nil
 		}
-		body := header + "\n" + strings.Join(rows, "\n") + "\n"
-		ack, err := client.IngestBody(ctx, plantID, "text/csv", []byte(body))
+		recs, err := wire.DecodeCSV(strings.NewReader(header + "\n" + strings.Join(rows, "\n") + "\n"))
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		ack, err := client.Ingest(ctx, plantID, recs)
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}

@@ -4,16 +4,20 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/plant"
 	"repro/internal/server"
 	"repro/pkg/hod"
+	"repro/pkg/hod/wire"
 )
 
 // writeTrace writes a plantsim-schema sensors.csv + jobs.csv +
@@ -93,7 +97,8 @@ func serveTest(t *testing.T, opts server.Options) (base string) {
 // TestReplayAgainstServer drives the replay path end to end: derive
 // the topology from the CSV, register, stream all three files, then
 // confirm the server has the data and serves a report — all through
-// the SDK client.
+// the SDK client. The CSV is converted on the client side: every
+// ingest request replay makes is a binary frame body.
 func TestReplayAgainstServer(t *testing.T) {
 	p, err := plant.Simulate(plant.Config{
 		Seed: 6, Lines: 2, MachinesPerLine: 2, JobsPerMachine: 3, PhaseSamples: 16,
@@ -104,7 +109,20 @@ func TestReplayAgainstServer(t *testing.T) {
 	}
 	sensors, jobs, env := writeTrace(t, t.TempDir(), p)
 
-	base := serveTest(t, server.Options{Shards: 2, QueueDepth: 4})
+	srv := server.New(server.Options{Shards: 2, QueueDepth: 4})
+	t.Cleanup(srv.Close)
+	var mu sync.Mutex
+	ingestTypes := map[string]int{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/ingest") {
+			mu.Lock()
+			ingestTypes[r.Header.Get("Content-Type")]++
+			mu.Unlock()
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	base := ts.URL
 
 	if err := cmdReplay([]string{
 		"-addr", base, "-plant", "replayed", "-register",
@@ -112,6 +130,11 @@ func TestReplayAgainstServer(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	mu.Lock()
+	if len(ingestTypes) != 1 || ingestTypes[wire.ContentTypeBinary] == 0 {
+		t.Errorf("replay posted ingest bodies as %v, want %s only", ingestTypes, wire.ContentTypeBinary)
+	}
+	mu.Unlock()
 
 	// The replay returns once every batch is admitted; wait for the
 	// shard pipelines to drain before asserting counts.

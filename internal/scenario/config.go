@@ -142,11 +142,6 @@ type Config struct {
 
 	// BatchRecords chunks each plant's trace (default 512 records).
 	BatchRecords int `json:"batch_records,omitempty"`
-	// Binary replays the trace as binary columnar frames
-	// (wire.ContentTypeBinary) instead of NDJSON. The oracle still
-	// replays the acked stream as NDJSON, so every bytes_equal check
-	// doubles as a cross-codec equivalence check.
-	Binary bool `json:"binary,omitempty"`
 	// Server shape under test.
 	Shards     int `json:"shards,omitempty"`      // default 3
 	QueueDepth int `json:"queue_depth,omitempty"` // default 64

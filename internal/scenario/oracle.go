@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"net/url"
 	"time"
+
+	"repro/pkg/hod/wire"
 )
 
 // Result is one scenario's outcome — the JSON `hodctl soak` prints.
@@ -130,7 +132,15 @@ func (r *Runner) verify(ctx context.Context, cfg Config, h *harness, traces []*p
 		for _, rec := range ab.records {
 			perCell[fmt.Sprintf("%t|%s|%s|%s|%s|%d", rec.Env, rec.Machine, rec.Job, rec.Phase, rec.Sensor, rec.T)] = struct{}{}
 		}
-		ack, err := oracle.client.Ingest(ctx, ab.plant, ab.records)
+		// The victim was fed binary frames (hod.Client.Ingest); the
+		// oracle takes the same batches through the NDJSON door, so
+		// every bytes_equal check is also a cross-codec check.
+		body, err := wire.EncodeNDJSON(ab.records)
+		if err != nil {
+			res.check("oracle_ingest", false, err.Error())
+			return
+		}
+		ack, err := oracle.client.IngestBody(ctx, ab.plant, "application/x-ndjson", body)
 		if err != nil {
 			res.check("oracle_ingest", false, err.Error())
 			return

@@ -285,21 +285,15 @@ func (r *Runner) replay(ctx context.Context, cfg Config, h *harness, traces []*p
 	registered := map[string]bool{}
 	jobsSent := map[string][]wire.JobMeta{}
 
-	// ingest resolves h.client at call time — restarts swap the client
-	// for one pointed at the new generation's port.
-	ingest := func(ctx context.Context, plantID string, recs []wire.Record) (wire.IngestAck, error) {
-		if cfg.Binary {
-			return h.client.IngestBinary(ctx, plantID, recs)
-		}
-		return h.client.Ingest(ctx, plantID, recs)
-	}
 	send := func(plantID string, recs []wire.Record) error {
 		var lastErr error
 		for attempt := 0; attempt < sendAttempts; attempt++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			ack, err := ingest(ctx, plantID, recs)
+			// h.client is read at call time: restarts swap the client
+			// for one pointed at the new generation's port.
+			ack, err := h.client.Ingest(ctx, plantID, recs)
 			if err == nil {
 				acked = append(acked, ackedBatch{plant: plantID, records: recs, admitted: ack.Records})
 				admitted[plantID] += uint64(ack.Records)

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/plant"
 	"repro/pkg/hod/wire"
@@ -383,6 +384,110 @@ func TestOutOfRangeTimestampRejectedByEveryCodec(t *testing.T) {
 	}
 }
 
+// oneMachineServer serves a fresh server with one registered plant of
+// one machine ("m-0"), phase "heat" and sensor "temp".
+func oneMachineServer(t *testing.T, plantID string) (base string) {
+	t.Helper()
+	srv := New(Options{Shards: 2, QueueDepth: 16, Workers: 1})
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	register(t, ts.URL, Topology{
+		ID:      plantID,
+		Lines:   []TopoLine{{ID: "line-0", Machines: []string{"m-0"}}},
+		Phases:  []string{"heat"},
+		Sensors: []string{"temp"},
+	})
+	return ts.URL
+}
+
+// TestIngestMediaTypes pins the two ingest doors. A binary frame body
+// goes to the frame decoder; every other body is NDJSON, whatever
+// media type curl or a script sends it with. CSV and JSON types are
+// refused whole with bad_request, naming the accepted formats, rather
+// than misread as NDJSON.
+func TestIngestMediaTypes(t *testing.T) {
+	base := oneMachineServer(t, "plant-media")
+	one := []Record{{Machine: "m-0", Job: "job-1", Phase: "heat", Sensor: "temp", T: 0, Value: 20}}
+	for _, tc := range []struct {
+		name, contentType string
+		body              []byte
+		status            int
+	}{
+		{"ndjson", "application/x-ndjson", ndjson(one), http.StatusAccepted},
+		{"no media type", "", ndjson(one), http.StatusAccepted},
+		{"curl default", "application/x-www-form-urlencoded", ndjson(one), http.StatusAccepted},
+		{"binary", wire.ContentTypeBinary, binaryBody(t, one), http.StatusAccepted},
+		{"csv", "text/csv", []byte("machine,job,phase,t,temp\nm-0,job-1,heat,0,20\n"), http.StatusBadRequest},
+		{"csv with params", "application/csv; charset=utf-8", []byte("machine,job,phase,t,temp\nm-0,job-1,heat,0,20\n"), http.StatusBadRequest},
+		{"json array", "application/json", []byte(`[{"machine":"m-0","job":"job-1","phase":"heat","sensor":"temp","t":0,"value":20}]`), http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := http.NewRequest(http.MethodPost, base+"/v1/plants/plant-media/ingest", bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.contentType != "" {
+				req.Header.Set("Content-Type", tc.contentType)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := mustStatus(t, resp, tc.status)
+			if tc.status == http.StatusAccepted {
+				var ack wire.IngestAck
+				if err := json.Unmarshal(body, &ack); err != nil || ack.Records != 1 || ack.Rejected != 0 {
+					t.Fatalf("ack %s (%v), want 1 admitted", body, err)
+				}
+				return
+			}
+			var env wire.ErrorEnvelope
+			if err := json.Unmarshal(body, &env); err != nil {
+				t.Fatal(err)
+			}
+			if env.Err.Code != wire.CodeBadRequest {
+				t.Fatalf("code %q, want %q", env.Err.Code, wire.CodeBadRequest)
+			}
+			for _, want := range []string{"application/x-ndjson", wire.ContentTypeBinary, "hodctl replay"} {
+				if !strings.Contains(env.Err.Message, want) {
+					t.Errorf("message %q does not name %q", env.Err.Message, want)
+				}
+			}
+		})
+	}
+}
+
+// TestBinaryIngestRejectsInvalidUTF8JobIDs posts one binary body whose
+// frame carries two job names that are not valid UTF-8. A frame holds
+// raw bytes, so they reach admission intact; admitted, both would
+// answer as "\ufffd" — two members and two cells under one name. They
+// are refused per record, and the valid record beside them is admitted.
+func TestBinaryIngestRejectsInvalidUTF8JobIDs(t *testing.T) {
+	const plantID = "plant-utf8"
+	base := oneMachineServer(t, plantID)
+	rec := func(job string) Record {
+		return Record{Machine: "m-0", Job: job, Phase: "heat", Sensor: "temp", T: 0, Value: 20}
+	}
+	resp := postRetry(t, base+"/v1/plants/"+plantID+"/ingest", wire.ContentTypeBinary,
+		binaryBody(t, []Record{rec("\xff"), rec("\xfe"), rec("job-1")}))
+	var ack wire.IngestAck
+	if err := json.Unmarshal(mustStatus(t, resp, http.StatusAccepted), &ack); err != nil {
+		t.Fatal(err)
+	}
+	if ack.Records != 1 || ack.Rejected != 2 || !strings.Contains(ack.FirstRejection, "not valid UTF-8") {
+		t.Fatalf("ack %+v, want 1 admitted / 2 rejected as invalid UTF-8", ack)
+	}
+	waitDrained(t, base, plantID, 1)
+	var cr wire.CubeResponse
+	if err := json.Unmarshal(getBody(t, base+"/v1/plants/"+plantID+"/cube?op=members&dim=job"), &cr); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(cr.Members, []string{"job-1"}) {
+		t.Fatalf("job members %q, want only job-1", cr.Members)
+	}
+}
+
 // FuzzIngestBodies is the differential of the ingest codecs: the same
 // batch sent as an NDJSON body and as a binary body must admit the same
 // refs, reject the same records with the same first reason, and grow
@@ -390,8 +495,11 @@ func TestOutOfRangeTimestampRejectedByEveryCodec(t *testing.T) {
 // through decodeBody, the handler's decode-and-resolve step. The
 // binary body encodes the records the NDJSON body decodes to, since
 // JSON rewrites invalid UTF-8. JSON cannot carry a non-finite value;
-// such a batch enters the text side after the decoder (as a CSV body
-// would deliver it) and the binary side unchanged.
+// such a batch enters the text side after the decoder and the binary
+// side unchanged. A binary-only arm posts the raw fuzzed job string,
+// which a frame carries byte for byte: every job name it admits must
+// be valid UTF-8 and round-trip through encoding/json unchanged, so no
+// two admitted names can answer as one.
 func FuzzIngestBodies(f *testing.F) {
 	f.Add("m0", "job-a", "heat", "temp", false, int64(0), 1.5)
 	f.Add("ghost", "job-a", "heat", "temp", false, int64(1), 2.0)
@@ -404,8 +512,27 @@ func FuzzIngestBodies(f *testing.F) {
 	f.Add("", "", "", "hall-temp", true, int64(6), 19.0)
 	f.Add("", "", "", "temp", true, int64(7), math.Inf(1))
 	f.Add("m0", "job-\xff", "heat", "temp", false, int64(8), 8.0)
+	f.Add("m0", "\xff", "heat", "temp", false, int64(9), 9.0)
+	f.Add("m1", "\xfe", "cool", "pressure", false, int64(10), 10.0)
 	f.Fuzz(func(t *testing.T, machine, job, phase, sensor string, env bool, ts int64, value float64) {
 		fuzzed := Record{Machine: machine, Job: job, Phase: phase, Sensor: sensor, T: int(ts), Value: value, Env: env}
+		raw := []Record{fuzzed, {Machine: "m0", Job: job, Phase: "heat", Sensor: "temp", T: 0, Value: 1}}
+		if body, err := wire.EncodeBinary(raw); err == nil {
+			rawPS := newPlantState(binaryTestTopo())
+			if _, code, err := rawPS.decodeBody(bytes.NewReader(body), wire.ContentTypeBinary, ingestScratchPool.New().(*ingestScratch)); err != nil {
+				t.Fatalf("binary body refused (%s): %v", code, err)
+			}
+			for _, name := range rawPS.in.jobs.Names() {
+				enc, err := json.Marshal(name)
+				var back string
+				if err == nil {
+					err = json.Unmarshal(enc, &back)
+				}
+				if !utf8.ValidString(name) || err != nil || back != name {
+					t.Fatalf("admitted job %q does not round-trip through JSON (got %q, %v)", name, back, err)
+				}
+			}
+		}
 		recs := []Record{
 			fuzzed,
 			{Machine: "m0", Job: job, Phase: "heat", Sensor: "temp", T: 0, Value: 1},

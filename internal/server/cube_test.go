@@ -91,10 +91,10 @@ func offlineCubeResponse(t *testing.T, cube *hod.Cube, plantID, query string) []
 }
 
 // TestCubeE2ECrashRecoveryMatchesOffline is the cube acceptance test:
-// a plantsim-schema CSV trace replayed over HTTP — with the server
-// killed and restarted from its data dir mid-trace — must answer every
-// cube query byte-identical to a cube built offline from the same
-// CSVs.
+// a plantsim-schema CSV trace replayed over HTTP as `hodctl replay`
+// sends it (converted to binary frames) — with the server killed and
+// restarted from its data dir mid-trace — must answer every cube query
+// byte-identical to a cube built offline from the same CSVs.
 func TestCubeE2ECrashRecoveryMatchesOffline(t *testing.T) {
 	p, err := plant.Simulate(testConfig())
 	if err != nil {
@@ -108,11 +108,7 @@ func TestCubeE2ECrashRecoveryMatchesOffline(t *testing.T) {
 	// SDK cube.
 	var recs []wire.Record
 	for _, body := range bodies {
-		part, err := wire.DecodeRecords(strings.NewReader(body), "text/csv")
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs = append(recs, part...)
+		recs = append(recs, csvRecords(t, body)...)
 	}
 	offline, err := hod.CubeFromRecords(topo, recs)
 	if err != nil {
@@ -131,7 +127,7 @@ func TestCubeE2ECrashRecoveryMatchesOffline(t *testing.T) {
 	register(t, tsV.URL, topo)
 	cut := len(bodies) * 6 / 10
 	for _, body := range bodies[:cut] {
-		mustStatus(t, postRetry(t, tsV.URL+"/v1/plants/"+plantID+"/ingest", "text/csv", []byte(body)),
+		mustStatus(t, postRetry(t, tsV.URL+"/v1/plants/"+plantID+"/ingest", wire.ContentTypeBinary, csvBinary(t, body)),
 			http.StatusAccepted)
 	}
 	tsV.Close()
@@ -144,16 +140,11 @@ func TestCubeE2ECrashRecoveryMatchesOffline(t *testing.T) {
 	defer restarted.Close()
 	tsR := httptest.NewServer(restarted.Handler())
 	defer tsR.Close()
-	total := 0
-	for _, body := range bodies {
-		part, _ := wire.DecodeRecords(strings.NewReader(body), "text/csv")
-		total += len(part)
-	}
 	for _, body := range bodies[cut:] {
-		mustStatus(t, postRetry(t, tsR.URL+"/v1/plants/"+plantID+"/ingest", "text/csv", []byte(body)),
+		mustStatus(t, postRetry(t, tsR.URL+"/v1/plants/"+plantID+"/ingest", wire.ContentTypeBinary, csvBinary(t, body)),
 			http.StatusAccepted)
 	}
-	waitDrained(t, tsR.URL, plantID, uint64(total))
+	waitDrained(t, tsR.URL, plantID, uint64(len(recs)))
 
 	for _, q := range cubeQueries(p) {
 		want := offlineCubeResponse(t, offline, plantID, q)
@@ -234,7 +225,7 @@ func TestCubeQueryValidation(t *testing.T) {
 	// absent, the constraint echoed, total_cells the whole cube.
 	m := p.Machines()[0]
 	csv := "machine,job,phase,t,temp-a\n" + fmt.Sprintf("%s,%s,print,0,1.5\n", m.ID, m.Jobs[0].ID)
-	mustStatus(t, postRetry(t, ts.URL+"/v1/plants/plant-cq/ingest", "text/csv", []byte(csv)), http.StatusAccepted)
+	mustStatus(t, postRetry(t, ts.URL+"/v1/plants/plant-cq/ingest", wire.ContentTypeBinary, csvBinary(t, csv)), http.StatusAccepted)
 	waitDrained(t, ts.URL, "plant-cq", 1)
 	const dims = `"dims":["line","machine","job","phase","sensor"]`
 	for q, want := range map[string]string{
@@ -319,7 +310,7 @@ func TestCubeSkipsNonFiniteRecords(t *testing.T) {
 	csv := "machine,job,phase,t,temp-a\n" +
 		fmt.Sprintf("%s,%s,print,0,1.5\n", m.ID, m.Jobs[0].ID) +
 		fmt.Sprintf("%s,%s,print,1,NaN\n", m.ID, m.Jobs[0].ID)
-	resp := postRetry(t, ts.URL+"/v1/plants/plant-nan/ingest", "text/csv", []byte(csv))
+	resp := postRetry(t, ts.URL+"/v1/plants/plant-nan/ingest", wire.ContentTypeBinary, csvBinary(t, csv))
 	var ack wire.IngestAck
 	if err := json.Unmarshal(mustStatus(t, resp, http.StatusAccepted), &ack); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package server is the fleet serving layer: a stdlib-only HTTP
 // service that ingests live sensor samples for a registered fleet of
 // plants, admits every batch as wire frames through one resolver
-// (resolveFrame: text bodies are built into a frame after decoding,
+// (resolveFrame: NDJSON bodies are built into a frame after decoding,
 // binary bodies, WAL replay and the standby tailer arrive as frames),
 // shards them onto per-machine pipelines with bounded queues
 // (backpressure surfaces as 429 + Retry-After), maintains an
@@ -16,7 +16,7 @@
 //
 //	POST /v1/plants                          register a plant topology
 //	GET  /v1/plants                          list registered plants
-//	POST /v1/plants/{id}/ingest              samples: NDJSON, JSON array, CSV, or binary columnar frames
+//	POST /v1/plants/{id}/ingest              samples: NDJSON or binary columnar frames
 //	POST /v1/plants/{id}/jobs                job metadata (setup + CAQ vectors)
 //	GET  /v1/plants/{id}/report              fleet outlier report (?level=&top=&machine=)
 //	GET  /v1/plants/{id}/rollup              incremental aggregates (?level=sensor|phase|machine|line|plant)
@@ -327,7 +327,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // ingestScratch is the per-request working set of handleIngest: the
-// frame a binary body decodes into, the builder a text body's records
+// frame a binary body decodes into, the builder an NDJSON body's records
 // are built into, and the resolver's dictionary translations. Pooled,
 // so a steady ingest load reuses their backing arrays.
 type ingestScratch struct {
@@ -349,28 +349,44 @@ type resolvedBody struct {
 	firstErr string
 }
 
+// errRefusedMediaType answers an ingest body sent as CSV or JSON: the
+// server reads neither, and would misread either as NDJSON.
+var errRefusedMediaType = errors.New("ingest takes NDJSON (application/x-ndjson, the default) or binary frames (" +
+	wire.ContentTypeBinary + "); `hodctl replay` converts plantsim CSV")
+
 // decodeBody decodes one ingest body and resolves it against the
-// plant's intern tables. Every body resolves as wire frames: a binary
-// body (application/x-hod-batch) frame by frame as it is read, a text
-// body (NDJSON, JSON array, CSV) after its records are decoded and
-// built into one frame. A body that does not decode is refused whole,
-// with the wire code to answer it with: bad_frame for a binary body,
-// bad_request for a text one.
+// plant's intern tables. The server has two doors, and every body
+// resolves as wire frames: a binary body (application/x-hod-batch)
+// frame by frame as it is read, any other body as NDJSON, its records
+// built into one frame after decoding. A CSV or JSON media type is
+// refused rather than misread as NDJSON. A body that does not decode
+// is refused whole, with the wire code to answer it with: bad_frame
+// for a binary body, bad_request for any other.
 func (ps *plantState) decodeBody(body io.Reader, contentType string, sc *ingestScratch) (resolvedBody, string, error) {
-	var rb resolvedBody
-	if mt, _, err := mime.ParseMediaType(contentType); err != nil || mt != wire.ContentTypeBinary {
-		recs, err := wire.DecodeRecords(body, contentType)
-		if err != nil {
-			return rb, wire.CodeBadRequest, err
-		}
-		sc.builder.Reset()
-		for _, rec := range recs {
-			sc.builder.Add(rec)
-		}
-		rb.records = len(recs)
-		rb.refs, rb.rejected, rb.firstErr = ps.resolveFrame(nil, sc.builder.Frame(), &sc.resolve)
-		return rb, "", nil
+	mt, _, _ := mime.ParseMediaType(contentType) // "" (NDJSON) when absent or unparsable
+	switch mt {
+	case "text/csv", "application/csv", "application/json":
+		return resolvedBody{}, wire.CodeBadRequest, errRefusedMediaType
+	case wire.ContentTypeBinary:
+		return ps.decodeFrames(body, sc)
 	}
+	recs, err := wire.DecodeNDJSON(body)
+	if err != nil {
+		return resolvedBody{}, wire.CodeBadRequest, err
+	}
+	sc.builder.Reset()
+	for _, rec := range recs {
+		sc.builder.Add(rec)
+	}
+	rb := resolvedBody{records: len(recs)}
+	rb.refs, rb.rejected, rb.firstErr = ps.resolveFrame(nil, sc.builder.Frame(), &sc.resolve)
+	return rb, "", nil
+}
+
+// decodeFrames reads a binary body frame by frame, resolving each
+// frame as it arrives.
+func (ps *plantState) decodeFrames(body io.Reader, sc *ingestScratch) (resolvedBody, string, error) {
+	var rb resolvedBody
 	for {
 		err := wire.ReadFrame(body, &sc.frame)
 		if err == io.EOF {
@@ -620,13 +636,16 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // writeEncoded writes a JSON body its handler encoded, and the
 // newline every body ends with; err is the encoder's, answered with
-// the 500 envelope instead.
+// the 500 envelope instead. The length is known up front, so the body
+// goes out with a Content-Length rather than chunked, and a client can
+// size its read buffer once.
 func writeEncoded(w http.ResponseWriter, code int, body []byte, err error) {
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, wire.CodeInternal, "encoding response: "+err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)+1))
 	w.WriteHeader(code)
 	_, _ = w.Write(body)
 	_, _ = w.Write([]byte{'\n'})

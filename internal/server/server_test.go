@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -87,6 +88,24 @@ func ndjson(recs []Record) []byte {
 		_ = enc.Encode(r)
 	}
 	return buf.Bytes()
+}
+
+// csvRecords converts a plantsim CSV body on the client side, as
+// `hodctl replay` does: the server takes no CSV.
+func csvRecords(t *testing.T, body string) []Record {
+	t.Helper()
+	recs, err := wire.DecodeCSV(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// csvBinary is a plantsim CSV body as the binary frame body a client
+// sends for it.
+func csvBinary(t *testing.T, body string) []byte {
+	t.Helper()
+	return binaryBody(t, csvRecords(t, body))
 }
 
 // postRetry POSTs body, retrying on 429 with the advertised backoff —
@@ -481,7 +500,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	mustStatus(t, resp, http.StatusServiceUnavailable)
 }
 
-// TestCSVIngest replays the plantsim wide-row schema.
+// TestCSVIngest replays the plantsim wide-row schema, converted on the
+// client side and sent as a binary frame.
 func TestCSVIngest(t *testing.T) {
 	p, err := plant.Simulate(plant.Config{Seed: 3, Lines: 1, MachinesPerLine: 1, JobsPerMachine: 2, PhaseSamples: 8})
 	if err != nil {
@@ -509,7 +529,7 @@ func TestCSVIngest(t *testing.T) {
 			}
 		}
 	}
-	resp := postRetry(t, ts.URL+"/v1/plants/plant-csv/ingest", "text/csv", []byte(b.String()))
+	resp := postRetry(t, ts.URL+"/v1/plants/plant-csv/ingest", wire.ContentTypeBinary, csvBinary(t, b.String()))
 	var ack struct {
 		Records int `json:"records"`
 	}
@@ -525,6 +545,35 @@ func TestCSVIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustStatus(t, resp, http.StatusOK)
+}
+
+// TestJSONBodiesCarryContentLength pins that the one JSON body writer
+// sends a Content-Length equal to the body, not a chunked stream, so a
+// client can size its read buffer once: /cube (its own encoder) and
+// /report (encoding/json) both.
+func TestJSONBodiesCarryContentLength(t *testing.T) {
+	p, err := plant.Simulate(plant.Config{Seed: 3, Lines: 1, MachinesPerLine: 1, JobsPerMachine: 2, PhaseSamples: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Options{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	register(t, ts.URL, topoFromPlant("plant-cl", p))
+	ingestPlant(t, ts.URL, "plant-cl", p)
+	for _, q := range []string{"/cube", "/report?level=phase&top=5"} {
+		resp, err := http.Get(ts.URL + "/v1/plants/plant-cl" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := mustStatus(t, resp, http.StatusOK)
+		if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(body)) ||
+			resp.Header.Get("Content-Length") != strconv.Itoa(len(body)) {
+			t.Errorf("%s: Content-Length %q (transfer encoding %v), body of %d bytes",
+				q, resp.Header.Get("Content-Length"), resp.TransferEncoding, len(body))
+		}
+	}
 }
 
 // TestValidationRejections counts bad records without failing a batch.
@@ -626,7 +675,7 @@ func TestErrorEnvelopeAndStrictQueries(t *testing.T) {
 	envelope(t, resp, http.StatusConflict, wire.CodeNoData)
 
 	// Undecodable ingest body → bad_request.
-	resp, err = http.Post(ts.URL+"/v1/plants/plant-env/ingest", "application/json", strings.NewReader("{not json"))
+	resp, err = http.Post(ts.URL+"/v1/plants/plant-env/ingest", "application/x-ndjson", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,6 +75,7 @@ var forgedStoreCases = []forgedCase{
 	}, wire.CodeBadRequest},
 	{"duplicate job name", func(st *snapState) { st.JobInterns = []string{"j1", "j1"} }, wire.CodeBadRequest},
 	{"control character in a job name", func(st *snapState) { st.JobInterns = []string{"j\x1fprint"} }, wire.CodeBadRequest},
+	{"invalid UTF-8 in a job name", func(st *snapState) { st.JobInterns = []string{"j\xff"} }, wire.CodeBadRequest},
 	{"empty job name", func(st *snapState) { st.JobInterns = []string{""} }, wire.CodeBadRequest},
 	{"leaves beyond the topology", func(st *snapState) {
 		st.Machines[0].Leaves = make([]stats.OnlineState, len(st.Topo.Phases)*len(st.Topo.Sensors)+1)

@@ -214,7 +214,7 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 		if err != nil {
 			return err
 		}
-		data, err := io.ReadAll(resp.Body)
+		data, err := readBody(resp)
 		resp.Body.Close()
 		if err != nil {
 			return err
@@ -238,6 +238,24 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 			return apiError(resp.StatusCode, data)
 		}
 	}
+}
+
+// maxPresize caps the read buffer readBody allocates up front from a
+// response's Content-Length; a longer body still reads in full, the
+// buffer growing past the cap as it goes.
+const maxPresize = 16 << 20
+
+// readBody reads a whole response body. The server sends every JSON
+// body with a Content-Length, so the buffer is sized once instead of
+// grown by doubling; a body of unknown length falls back to
+// io.ReadAll.
+func readBody(resp *http.Response) ([]byte, error) {
+	if resp.ContentLength < 0 {
+		return io.ReadAll(resp.Body)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, min(resp.ContentLength, maxPresize)+bytes.MinRead))
+	_, err := buf.ReadFrom(resp.Body)
+	return buf.Bytes(), err
 }
 
 // decodeBody decodes a 2xx body into out. The cube body, the largest
@@ -286,22 +304,10 @@ func (c *Client) Plants(ctx context.Context) ([]string, error) {
 	return list.Plants, nil
 }
 
-// Ingest streams one batch of records as NDJSON, retrying on 429
-// backpressure until admitted (or the retry budget runs out).
+// Ingest streams one batch of records as a binary columnar frame
+// (wire.ContentTypeBinary), retrying on 429 backpressure until
+// admitted (or the retry budget runs out).
 func (c *Client) Ingest(ctx context.Context, plantID string, recs []wire.Record) (wire.IngestAck, error) {
-	body, err := wire.EncodeNDJSON(recs)
-	if err != nil {
-		return wire.IngestAck{}, err
-	}
-	return c.IngestBody(ctx, plantID, "application/x-ndjson", body)
-}
-
-// IngestBinary streams one batch of records as a binary columnar
-// frame (wire.ContentTypeBinary) — the zero-copy ingest path the
-// server admits without re-encoding through JSON. Same 429 retry
-// behaviour as Ingest; the two paths produce byte-identical query
-// answers.
-func (c *Client) IngestBinary(ctx context.Context, plantID string, recs []wire.Record) (wire.IngestAck, error) {
 	body, err := wire.EncodeBinary(recs)
 	if err != nil {
 		return wire.IngestAck{}, err
@@ -309,10 +315,10 @@ func (c *Client) IngestBinary(ctx context.Context, plantID string, recs []wire.R
 	return c.IngestBody(ctx, plantID, wire.ContentTypeBinary, body)
 }
 
-// IngestBody posts a raw pre-encoded ingest body (NDJSON, JSON array,
-// plantsim CSV, or binary columnar frames — see wire.DecodeRecords
-// for the accepted formats) with the same 429 retry behaviour as
-// Ingest.
+// IngestBody posts a raw pre-encoded ingest body — NDJSON
+// (application/x-ndjson) or binary columnar frames
+// (wire.ContentTypeBinary), the two formats the server takes — with
+// the same 429 retry behaviour as Ingest.
 func (c *Client) IngestBody(ctx context.Context, plantID, contentType string, body []byte) (wire.IngestAck, error) {
 	var ack wire.IngestAck
 	err := c.do(ctx, http.MethodPost, "/v1/plants/"+url.PathEscape(plantID)+"/ingest", contentType, body, &ack)
@@ -566,13 +572,13 @@ func (c *Client) clusterNodeOp(ctx context.Context, path string, req wire.Cluste
 }
 
 // BatchStream accumulates records and flushes them through Ingest in
-// fixed-size NDJSON batches — the shape uploader loops want. Not safe
-// for concurrent use; run one stream per uploader goroutine.
+// fixed-size batches, one binary frame each — the shape uploader loops
+// want. Not safe for concurrent use; run one stream per uploader
+// goroutine.
 type BatchStream struct {
 	c       *Client
 	plantID string
 	size    int
-	binary  bool
 	buf     []wire.Record
 	ack     wire.IngestAck // accumulated totals
 	batches int
@@ -585,14 +591,6 @@ func (c *Client) BatchStream(plantID string, batchSize int) *BatchStream {
 		batchSize = 2000
 	}
 	return &BatchStream{c: c, plantID: plantID, size: batchSize, buf: make([]wire.Record, 0, batchSize)}
-}
-
-// Binary switches the stream onto the binary columnar frame encoding
-// (wire.ContentTypeBinary) instead of NDJSON. Returns the stream for
-// chaining: c.BatchStream(id, n).Binary().
-func (b *BatchStream) Binary() *BatchStream {
-	b.binary = true
-	return b
 }
 
 // Add buffers one record, flushing automatically when the batch fills.
@@ -609,15 +607,7 @@ func (b *BatchStream) Flush(ctx context.Context) error {
 	if len(b.buf) == 0 {
 		return nil
 	}
-	var (
-		ack wire.IngestAck
-		err error
-	)
-	if b.binary {
-		ack, err = b.c.IngestBinary(ctx, b.plantID, b.buf)
-	} else {
-		ack, err = b.c.Ingest(ctx, b.plantID, b.buf)
-	}
+	ack, err := b.c.Ingest(ctx, b.plantID, b.buf)
 	if err != nil {
 		return err
 	}

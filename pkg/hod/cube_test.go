@@ -139,6 +139,11 @@ func TestCubeFromRecordsIdempotent(t *testing.T) {
 	if _, err := hod.CubeFromRecords(topo, []wire.Record{{Machine: "ghost", Job: "j", Phase: "p", Sensor: "s"}}); !errors.Is(err, hod.ErrUnknownMachine) {
 		t.Fatalf("unknown machine: %v", err)
 	}
+	// A job name that is not valid UTF-8 is refused like the server's
+	// ingest refuses it, not folded into a cell that answers as U+FFFD.
+	if _, err := hod.CubeFromRecords(topo, []wire.Record{{Machine: recs[0].Machine, Job: "\xff", Phase: "p", Sensor: "s"}}); !errors.Is(err, hod.ErrBadRequest) {
+		t.Fatalf("invalid UTF-8 job: %v", err)
+	}
 }
 
 // TestCubeSumOverflowIsNotBadRequest: two samples of 1e308 are

@@ -7,42 +7,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"mime"
 	"strconv"
 	"strings"
 )
 
-// DecodeRecords parses one ingest request body. Four wire formats are
-// accepted:
-//
-//   - NDJSON (default, application/x-ndjson): one Record object per line
-//   - JSON (application/json): a single array of Record objects
-//   - CSV (text/csv): the plantsim trace schemas — machine-sensor rows
-//     "machine,job,phase,t,<sensor...>" or environment rows
-//     "t,<env-sensor...>"
-//   - binary (application/x-hod-batch): length-prefixed columnar
-//     frames — see frame.go
-//
-// so `hodctl replay` and `curl --data-binary @sensors.csv` both work
-// without client-side conversion.
-func DecodeRecords(r io.Reader, contentType string) ([]Record, error) {
-	mt := contentType
-	if parsed, _, err := mime.ParseMediaType(contentType); err == nil {
-		mt = parsed
-	}
-	switch mt {
-	case "text/csv", "application/csv":
-		return DecodeCSV(r)
-	case "application/json":
-		return DecodeJSONArray(r)
-	case ContentTypeBinary:
-		return DecodeBinary(r)
-	default:
-		return DecodeNDJSON(r)
-	}
-}
-
-// EncodeNDJSON renders records in the default ingest format: one JSON
+// EncodeNDJSON renders records as an NDJSON ingest body: one JSON
 // object per line.
 func EncodeNDJSON(recs []Record) ([]byte, error) {
 	var buf bytes.Buffer
@@ -55,22 +24,8 @@ func EncodeNDJSON(recs []Record) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeJSONArray parses an application/json ingest body: one array of
-// Record objects.
-func DecodeJSONArray(r io.Reader) ([]Record, error) {
-	var out []Record
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&out); err != nil {
-		return nil, fmt.Errorf("json array: %w", err)
-	}
-	if len(out) > MaxBatchRecords {
-		return nil, fmt.Errorf("batch of %d records exceeds the %d cap", len(out), MaxBatchRecords)
-	}
-	return out, nil
-}
-
-// DecodeNDJSON parses the default ingest body: one Record object per
-// line, blank lines skipped.
+// DecodeNDJSON parses an NDJSON ingest body, the server's text door:
+// one Record object per line, blank lines skipped.
 func DecodeNDJSON(r io.Reader) ([]Record, error) {
 	var out []Record
 	sc := bufio.NewScanner(r)
@@ -97,8 +52,12 @@ func DecodeNDJSON(r io.Reader) ([]Record, error) {
 	return out, nil
 }
 
-// DecodeCSV handles both plantsim trace schemas, dispatching on the
-// header row.
+// DecodeCSV converts a plantsim trace into records, dispatching on the
+// header row between the two schemas: machine-sensor rows
+// "machine,job,phase,t,<sensor...>" and environment rows
+// "t,<env-sensor...>". It is a client helper (`hodctl replay` decodes
+// each row batch with it and sends the records as a binary frame); the
+// server takes no CSV body.
 func DecodeCSV(r io.Reader) ([]Record, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1

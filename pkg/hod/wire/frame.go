@@ -33,7 +33,7 @@ import (
 // record in an NDJSON body they reject the whole request with 400 and
 // the bad_frame code. Identifier *semantics* (unknown machine, unknown
 // phase, non-finite value, t out of range) stay per-record rejections,
-// exactly like the text codecs.
+// exactly like the NDJSON codec.
 const (
 	// ContentTypeBinary negotiates the binary columnar batch format on
 	// POST ingest.
@@ -264,9 +264,9 @@ func readI32Col(dst []int32, p []byte, n, dictLen int, name string) ([]int32, []
 
 // FrameBuilder accumulates Records into a Frame, interning identifier
 // strings into the frame-local dictionaries. It is the client-side half
-// of the binary codec (Client.BatchStream in binary mode flushes
-// through one of these), and the server builds every text-decoded
-// batch into a Frame with one, so all ingest bodies resolve as frames.
+// of the binary codec (EncodeBinary, behind every hod.Client ingest,
+// builds its frame with one), and the server builds every NDJSON batch
+// into a Frame with one, so all ingest bodies resolve as frames.
 type FrameBuilder struct {
 	f                                   Frame
 	machineID, jobID, phaseID, sensorID map[string]int32
@@ -312,7 +312,7 @@ func (b *FrameBuilder) Add(rec Record) {
 // saturateT narrows a timestamp to the i32 column, clamping it to the
 // int32 bounds. Wrapping would turn t = 1<<32+3 into a valid-looking
 // 3; a clamped value stays out of any server's sample range, so the
-// record is rejected as the text codecs reject it.
+// record is rejected as the NDJSON codec rejects it.
 func saturateT(t int) int32 {
 	return int32(max(math.MinInt32, min(t, math.MaxInt32)))
 }
@@ -337,23 +337,33 @@ func (b *FrameBuilder) Reset() {
 }
 
 // EncodeBinary renders records as binary frames — the columnar
-// equivalent of EncodeNDJSON. Batches beyond the per-request record
-// cap are rejected like the text decoders reject them.
+// equivalent of EncodeNDJSON and the body every hod.Client ingest
+// posts. A batch is one frame unless a dictionary fills its u16 count;
+// then the next record starts a new frame, so any batch NDJSON carries
+// is sent. Batches beyond the per-request record cap are rejected like
+// the NDJSON decoder rejects them.
 func EncodeBinary(recs []Record) ([]byte, error) {
 	if len(recs) > MaxBatchRecords {
 		return nil, fmt.Errorf("batch of %d records exceeds the %d cap", len(recs), MaxBatchRecords)
 	}
 	b := NewFrameBuilder()
+	var body []byte
 	for _, rec := range recs {
+		if f := &b.f; max(len(f.Machines), len(f.Jobs), len(f.Phases), len(f.Sensors)) == maxDictEntries {
+			var err error
+			if body, err = b.AppendTo(body); err != nil {
+				return nil, err
+			}
+			b.Reset()
+		}
 		b.Add(rec)
 	}
-	return b.AppendTo(nil)
+	return b.AppendTo(body)
 }
 
 // Records expands the frame back into Record values, appending onto
-// dst — the symmetric decode used by DecodeRecords for binary bodies
-// (the server's hot path skips this and resolves the dictionaries
-// straight to interned ids).
+// dst — the symmetric decode DecodeBinary uses (the server's hot path
+// skips this and resolves the dictionaries straight to interned ids).
 func (f *Frame) Records(dst []Record) []Record {
 	for i := range f.Value {
 		rec := Record{Sensor: f.Sensors[f.Sensor[i]], T: int(f.T[i]), Value: f.Value[i]}
@@ -369,7 +379,9 @@ func (f *Frame) Records(dst []Record) []Record {
 	return dst
 }
 
-// DecodeBinary parses a binary ingest body: a sequence of frames.
+// DecodeBinary parses a binary ingest body, a sequence of frames, into
+// records: the inverse of EncodeBinary, which the frame tests use as
+// their oracle.
 func DecodeBinary(r io.Reader) ([]Record, error) {
 	var out []Record
 	var f Frame

@@ -8,6 +8,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -41,6 +42,40 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	if want := append(append([]Record(nil), in...), in...); !reflect.DeepEqual(want, out) {
 		t.Fatalf("two-frame decode drifted: %v", out)
+	}
+}
+
+// TestEncodeBinarySplitsFullDictionaries: a batch naming more jobs
+// than a frame's u16 dictionary holds is valid ingest (NDJSON carries
+// it), so EncodeBinary, behind every hod.Client ingest, splits it into
+// frames instead of refusing it. A batch that fits stays one frame.
+func TestEncodeBinarySplitsFullDictionaries(t *testing.T) {
+	in := make([]Record, maxDictEntries+10)
+	for i := range in {
+		in[i] = Record{Machine: "m", Job: "job-" + strconv.Itoa(i), Phase: "p", Sensor: "s", T: i, Value: float64(i)}
+	}
+	body, err := EncodeBinary(in)
+	if err != nil {
+		t.Fatalf("EncodeBinary: %v", err)
+	}
+	frames := 0
+	for rd := bytes.NewReader(body); ; frames++ {
+		var f Frame
+		if err := ReadFrame(rd, &f); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if frames != 2 {
+		t.Fatalf("%d frames, want 2", frames)
+	}
+	out, err := DecodeBinary(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(in, out) {
+		t.Fatal("split batch does not decode to the records it was built from")
 	}
 }
 
@@ -133,21 +168,6 @@ func TestAppendFrameRejectsRaggedAndOversized(t *testing.T) {
 	huge := &Frame{Machines: []string{strings.Repeat("x", maxDictEntries+1)}}
 	if _, err := AppendFrame(nil, huge); !errors.Is(err, ErrFrame) {
 		t.Fatalf("oversized dict entry: want ErrFrame, got %v", err)
-	}
-}
-
-func TestDecodeRecordsBinaryContentType(t *testing.T) {
-	in := frameRecords()
-	body, err := EncodeBinary(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeRecords(bytes.NewReader(body), ContentTypeBinary)
-	if err != nil {
-		t.Fatalf("DecodeRecords binary: %v", err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("DecodeRecords drifted: %v", out)
 	}
 }
 

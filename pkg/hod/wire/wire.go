@@ -1,17 +1,22 @@
 // Package wire is the single source of truth for the v1 HTTP protocol
 // of the fleet serving layer: every request and response body, the
-// error envelope, and the three ingest codecs (NDJSON, JSON array,
-// plantsim CSV). The server (internal/server) and the typed client
-// (pkg/hod.Client) both compile against these types, so a protocol
-// change happens in exactly one place — and the golden-file test in
-// this package pins the JSON encoding of every type, so it cannot
-// happen silently.
+// error envelope, and the codecs of the two ingest doors — NDJSON for
+// curl, and binary columnar frames (frame.go), which every Go client
+// sends. DecodeCSV converts a plantsim trace on the client side; the
+// server takes no CSV. The server (internal/server) and the typed
+// client (pkg/hod.Client) both compile against these types, so a
+// protocol change happens in exactly one place — and the golden-file
+// test in this package pins the JSON encoding of every type, so it
+// cannot happen silently.
 //
 // The package is dependency-free standard-library Go and importable
 // from outside the module.
 package wire
 
-import "fmt"
+import (
+	"fmt"
+	"unicode/utf8"
+)
 
 // Default level-2 vector widths — the simulator's setup (layer height,
 // speed, setpoint, extrusion, viscosity) and CAQ (dimensional error,
@@ -175,13 +180,18 @@ func (t Topology) Validate() error {
 	return nil
 }
 
-// ValidIdent rejects identifiers carrying control characters —
-// topology ids (and the free-form job ids the ingest path vets with
-// the same rule) become cube coordinate members, whose keys reserve
-// the 0x1f separator (and sibling control bytes buy nothing but
-// trouble in CSV and log output either). The one policy definition for
-// registration, ingest, and restore gates.
+// ValidIdent rejects identifiers that are not valid UTF-8 or carry
+// control characters — topology ids (and the free-form job ids the
+// ingest path vets with the same rule) become cube coordinate members,
+// whose keys reserve the 0x1f separator (and sibling control bytes buy
+// nothing but trouble in CSV and log output either). A binary frame
+// carries raw bytes, so without the UTF-8 check two distinct invalid
+// names would both decode to U+FFFD in every JSON answer. The one
+// policy definition for registration, ingest, and restore gates.
 func ValidIdent(kind, id string) error {
+	if !utf8.ValidString(id) {
+		return fmt.Errorf("wire: %s id %q is not valid UTF-8", kind, id)
+	}
 	for _, r := range id {
 		if r < 0x20 || r == 0x7f {
 			return fmt.Errorf("wire: %s id %q contains a control character", kind, id)

@@ -173,7 +173,11 @@ func TestGoldenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeRecordsFormats(t *testing.T) {
+// TestIngestBodyFormats decodes one batch from every body a client
+// builds: NDJSON (the curl door), a plantsim CSV converted on the
+// client side, and the binary frame those converted records are sent
+// as.
+func TestIngestBodyFormats(t *testing.T) {
 	want := []Record{
 		{Machine: "m", Job: "j", Phase: "print", Sensor: "temp-a", T: 0, Value: 1.5},
 		{Machine: "m", Job: "j", Phase: "print", Sensor: "temp-b", T: 0, Value: 2.5},
@@ -182,21 +186,25 @@ func TestDecodeRecordsFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		ct   string
-		body string
-	}{
-		{"application/x-ndjson", string(nd)},
-		{"application/json", `[{"machine":"m","job":"j","phase":"print","sensor":"temp-a","t":0,"value":1.5},` +
-			`{"machine":"m","job":"j","phase":"print","sensor":"temp-b","t":0,"value":2.5}]`},
-		{"text/csv; charset=utf-8", "machine,job,phase,t,temp-a,temp-b\nm,j,print,0,1.5,2.5\n"},
-	} {
-		got, err := DecodeRecords(strings.NewReader(tc.body), tc.ct)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.ct, err)
-		}
+	fromNDJSON, err := DecodeNDJSON(bytes.NewReader(nd))
+	if err != nil {
+		t.Fatalf("ndjson: %v", err)
+	}
+	fromCSV, err := DecodeCSV(strings.NewReader("machine,job,phase,t,temp-a,temp-b\nm,j,print,0,1.5,2.5\n"))
+	if err != nil {
+		t.Fatalf("csv: %v", err)
+	}
+	bin, err := EncodeBinary(fromCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromBinary, err := DecodeBinary(bytes.NewReader(bin))
+	if err != nil {
+		t.Fatalf("binary: %v", err)
+	}
+	for name, got := range map[string][]Record{"ndjson": fromNDJSON, "csv": fromCSV, "csv as binary": fromBinary} {
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: got %+v, want %+v", tc.ct, got, want)
+			t.Errorf("%s: got %+v, want %+v", name, got, want)
 		}
 	}
 	if _, err := DecodeCSV(strings.NewReader("t,room-temp\n0,19.5\nx,20\n")); err == nil {
