@@ -53,13 +53,24 @@ type Dim interface {
 type View struct {
 	Dims []string
 	Dict []Dim
-	// Scan calls visit, when it is not nil, on every cell and returns
-	// the number of cells (IntCube.Scan, or a loop of it). The owner may
-	// hold a lock around the visits, so visit only compares and copies.
-	Scan func(visit func(*IntCell)) int
+	// Scan calls visit, when it is not nil, on every cell that may meet
+	// the pins, and returns the number of all cells, pinned or not
+	// (IntCube.Scan, or a loop of it). It may skip cells it knows fail a
+	// pin — a shard holding other machines — and may visit cells that
+	// fail one: the evaluator checks every cell it is handed. The owner
+	// may hold a lock around the visits, so visit only compares and
+	// copies.
+	Scan func(pins []Pin, visit func(*IntCell)) int
 	// Ranks is the dictionaries' owner's rank cache; nil ranks every
 	// dictionary afresh for the one query.
 	Ranks *Ranks
+}
+
+// Pin constrains a scan to the cells whose coordinate holds ID on
+// dimension Dim (a position in IntCoord).
+type Pin struct {
+	Dim int
+	ID  int32
 }
 
 func (v View) dim(name string) (int, error) {
@@ -81,11 +92,7 @@ func (v View) collect(where map[string]string) ([]IntCell, int, error) {
 		dims = append(dims, d)
 	}
 	sort.Strings(dims)
-	type pin struct {
-		dim int
-		id  int32
-	}
-	pins := make([]pin, len(dims))
+	pins := make([]Pin, len(dims))
 	known := true
 	for i, d := range dims {
 		idx, err := v.dim(d)
@@ -94,18 +101,18 @@ func (v View) collect(where map[string]string) ([]IntCell, int, error) {
 		}
 		id, ok := v.Dict[idx].ID(where[d])
 		known = known && ok
-		pins[i] = pin{idx, id}
+		pins[i] = Pin{idx, id}
 	}
 	if !known {
-		return nil, v.Scan(nil), nil
+		return nil, v.Scan(nil, nil), nil
 	}
 	var cells []IntCell
 	if len(pins) == 0 {
-		cells = make([]IntCell, 0, v.Scan(nil)) // every cell matches
+		cells = make([]IntCell, 0, v.Scan(nil, nil)) // every cell matches
 	}
-	total := v.Scan(func(c *IntCell) {
+	total := v.Scan(pins, func(c *IntCell) {
 		for _, p := range pins {
-			if c.Coord[p.dim] != p.id {
+			if c.Coord[p.Dim] != p.ID {
 				return
 			}
 		}
@@ -393,7 +400,7 @@ func (v View) members(dim string) ([]string, int, error) {
 		return nil, 0, err
 	}
 	var seen []bool // by id
-	total := v.Scan(func(c *IntCell) {
+	total := v.Scan(nil, func(c *IntCell) {
 		id := int(c.Coord[d])
 		if id >= len(seen) {
 			seen = append(seen, make([]bool, id+1-len(seen))...)

@@ -149,7 +149,7 @@ func TestAnswerMatchesReference(t *testing.T) {
 			// A coordinate lives on one shard, as a machine does.
 			_ = shards[int(ids[0])%len(shards)].AddFact(ids, v) // an overflowing fact is refused; fine
 		}
-		v := View{Dims: dims, Dict: dict, Ranks: new(Ranks), Scan: func(visit func(*IntCell)) int {
+		v := View{Dims: dims, Dict: dict, Ranks: new(Ranks), Scan: func(_ []Pin, visit func(*IntCell)) int {
 			total := 0
 			for _, sh := range shards {
 				total += sh.Scan(visit)
@@ -240,7 +240,8 @@ func TestAnswerRanksFollowDictionary(t *testing.T) {
 	}
 	ranks := new(Ranks)
 	for _, order := range [][]string{names, {"b", "c", "a"}, {"a", "b", "c"}} {
-		v := View{Dims: []string{"x"}, Dict: []Dim{intern.New(order)}, Scan: cube.Scan, Ranks: ranks}
+		v := View{Dims: []string{"x"}, Dict: []Dim{intern.New(order)}, Ranks: ranks,
+			Scan: func(_ []Pin, visit func(*IntCell)) int { return cube.Scan(visit) }}
 		checkAgainstReference(t, strings.Join(order, ""), v, Query{})
 		checkAgainstReference(t, strings.Join(order, ""), v, Query{Op: wire.CubeOpMembers, Dim: "x"})
 	}
@@ -259,7 +260,7 @@ func TestAnswerConcurrentWithInterning(t *testing.T) {
 		Dims:  []string{"job", "sensor"},
 		Dict:  []Dim{jobs, sensors},
 		Ranks: new(Ranks),
-		Scan: func(visit func(*IntCell)) int {
+		Scan: func(_ []Pin, visit func(*IntCell)) int {
 			mu.Lock()
 			defer mu.Unlock()
 			return cube.Scan(visit)
@@ -312,6 +313,7 @@ func TestAnswerConcurrentWithInterning(t *testing.T) {
 // the serving layer holds it: 2 lines × 3 machines × 96 jobs × 5
 // phases × 4 sensors = 11 520 cells, one IntCube per machine, fixed
 // dictionaries for the registered names and a growable one for jobs.
+// Its Scan skips the machines a line or machine pin rules out.
 func benchView(b *testing.B) (View, []string, []string) {
 	rng := rand.New(rand.NewSource(1))
 	lines := []string{"line-0", "line-1"}
@@ -344,10 +346,18 @@ func benchView(b *testing.B) (View, []string, []string) {
 		Dims:  wire.CubeDims(),
 		Dict:  []Dim{intern.New(lines), intern.New(machines), jobs, intern.New(phases), intern.New(sensors)},
 		Ranks: new(Ranks),
-		Scan: func(visit func(*IntCell)) int {
+		Scan: func(pins []Pin, visit func(*IntCell)) int {
 			total := 0
-			for _, c := range cubes {
-				total += c.Scan(visit)
+			for m, c := range cubes {
+				skip := false
+				for _, p := range pins {
+					skip = skip || p.Dim == 0 && p.ID != int32(m/3) || p.Dim == 1 && p.ID != int32(m)
+				}
+				if skip {
+					total += c.Len()
+				} else {
+					total += c.Scan(visit)
+				}
 			}
 			return total
 		},

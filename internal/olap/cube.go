@@ -75,7 +75,8 @@ func (c *Cube) view() View {
 	for d, t := range c.dict {
 		dict[d] = t
 	}
-	return View{Dims: c.dims, Dict: dict, Scan: c.cells.Scan, Ranks: &c.ranks}
+	scan := func(_ []Pin, visit func(*IntCell)) int { return c.cells.Scan(visit) }
+	return View{Dims: c.dims, Dict: dict, Scan: scan, Ranks: &c.ranks}
 }
 
 // intern vets a string coordinate and resolves it to ids, growing the

@@ -180,7 +180,7 @@ func refMembers(v View, dim string) ([]string, int, error) {
 		return nil, 0, err
 	}
 	var seen []bool
-	total := v.Scan(func(c *IntCell) {
+	total := v.Scan(nil, func(c *IntCell) {
 		id := int(c.Coord[d])
 		if id >= len(seen) {
 			seen = append(seen, make([]bool, id+1-len(seen))...)

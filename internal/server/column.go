@@ -1,0 +1,150 @@
+package server
+
+import (
+	"math"
+	"slices"
+)
+
+// blockLen is the number of samples in one block of a column. Sixteen
+// samples are 128 bytes, so a sample at any t allocates at most that
+// much, and the bench's 80-sample phases fill five blocks exactly. A
+// wider block wastes more of a short phase's tail; a narrower one
+// spends more directory per sample.
+const blockLen = 16
+
+// chunkBlocks is the number of blocks in one slab chunk (16 KiB): the
+// most a store holds carved but unused.
+const chunkBlocks = 128
+
+type block = [blockLen]float64
+
+// slab hands out NaN-filled blocks, carved in order from chunks of
+// chunkBlocks blocks, and never takes one back: a column keeps its
+// blocks for the life of its store. A block is named by its slot, the
+// carving order. The chunks hold no pointers, so the collector does not
+// scan them, and a store's whole sample volume is a few dozen objects.
+// Its owner's mutex guards it.
+type slab struct {
+	chunks []*[chunkBlocks]block
+	n      int32 // blocks carved
+}
+
+func (s *slab) block(slot int32) *block {
+	return &s.chunks[slot/chunkBlocks][slot%chunkBlocks]
+}
+
+// carve returns the slot of a fresh all-NaN block.
+func (s *slab) carve() int32 {
+	slot := s.n
+	if slot%chunkBlocks == 0 {
+		s.chunks = append(s.chunks, new([chunkBlocks]block))
+	}
+	s.n++
+	b := s.block(slot)
+	for i := range b {
+		b[i] = math.NaN()
+	}
+	return slot
+}
+
+// blockRef places block number blk of a column (samples
+// blk*blockLen ... blk*blockLen+blockLen-1) at a slab slot.
+type blockRef struct {
+	blk, slot int32
+}
+
+// column is one sample series — of a (job, phase, sensor) or of an
+// environment sensor — set at index t with NaN holes, which is what
+// makes replayed batches idempotent: the retry story after a 429 needs
+// no dedup state. It reads exactly as a []float64 of length n padded
+// with NaN would, but only the blocks a sample landed in exist: an
+// absent block reads as NaN, so a lone sample at a far t costs one
+// block, not t NaNs. The directory is sorted by block number; in-order
+// traffic only ever touches its last entry.
+type column struct {
+	dir []blockRef
+	n   int32 // highest t written + 1
+}
+
+// set writes one sample and reports whether the position previously
+// held NaN (a fresh observation rather than an idempotent overwrite)
+// and whether the stored value changed at all. s is the slab of the
+// store that owns the column.
+func (c *column) set(s *slab, t int, v float64) (fresh, changed bool) {
+	b := s.block(c.slot(s, int32(t/blockLen)))
+	p := &b[t%blockLen]
+	fresh = math.IsNaN(*p)
+	changed = fresh || *p != v
+	*p = v
+	if int32(t) >= c.n {
+		c.n = int32(t) + 1
+	}
+	return fresh, changed
+}
+
+// slot returns the slab slot of block blk, carving it on first touch.
+func (c *column) slot(s *slab, blk int32) int32 {
+	if last := len(c.dir) - 1; last >= 0 && c.dir[last].blk == blk {
+		return c.dir[last].slot
+	}
+	i, found := slices.BinarySearchFunc(c.dir, blk, func(r blockRef, blk int32) int { return int(r.blk - blk) })
+	if found {
+		return c.dir[i].slot
+	}
+	slot := s.carve()
+	c.dir = slices.Insert(c.dir, i, blockRef{blk, slot})
+	return slot
+}
+
+// fill writes the column's first len(dst) samples into dst, NaN where
+// none was written — past n too.
+func (c *column) fill(s *slab, dst []float64) {
+	next := 0
+	for _, r := range c.dir {
+		start := int(r.blk) * blockLen
+		if start >= len(dst) {
+			break
+		}
+		fillNaN(dst[next:start])
+		next = start + copy(dst[start:], s.block(r.slot)[:])
+	}
+	fillNaN(dst[next:])
+}
+
+// flat returns the series as the padded slice it reads as: n samples,
+// nil when nothing was written.
+func (c *column) flat(s *slab) []float64 {
+	if c.n == 0 {
+		return nil
+	}
+	out := make([]float64, c.n)
+	c.fill(s, out)
+	return out
+}
+
+// load writes a flat series back: every non-NaN sample, and its length
+// — a trailing NaN pad still counts towards n, as it did when flat
+// produced it.
+func (c *column) load(s *slab, vals []float64) {
+	for t, v := range vals {
+		if !math.IsNaN(v) {
+			c.set(s, t, v)
+		}
+	}
+	c.n = max(c.n, int32(len(vals)))
+}
+
+func fillNaN(dst []float64) {
+	for i := range dst {
+		dst[i] = math.NaN()
+	}
+}
+
+// flatSeries flattens columns sharing one slab, in position order.
+func flatSeries(s *slab, cols []column) [][]float64 {
+	out := make([][]float64, len(cols))
+	for i := range cols {
+		out[i] = cols[i].flat(s)
+	}
+	return out
+}

@@ -12,8 +12,8 @@ import (
 // The serving layer maintains one OLAP cube per plant over the machine
 // sensor stream — dimensions line × machine × job × phase × sensor,
 // one fact per first-seen sample. A coordinate names exactly one sample
-// buffer of the per-machine store, so the cells live there, beside the
-// buffers (cellGrid.cells), and are folded where the samples are
+// column of the per-machine store, so the cells live there, beside the
+// columns (cellGrid.cells), and are folded where the samples are
 // (foldRefs, under the machine's mutex). The cube therefore rides the
 // WAL + snapshot recovery contract for free: replayed batches rebuild
 // it through the same path, and captureState/applyState carry its
@@ -25,22 +25,23 @@ var cubeDims = wire.CubeDims()
 
 // cubeView is the plant's cube as the evaluator sees it: one walk of
 // the machine stores — jobs, grids, cells — each store behind its
-// mutex, with the plant's intern tables as the dictionary. Only the
-// cells a question matches are copied out under a store's lock;
-// ordering, grouping and translating ids back to names happen outside
-// it, on the copies.
+// mutex, with the plant's intern tables as the dictionary. A store that
+// a line or machine pin rules out only adds its count. Only the cells
+// a question matches are copied out under a store's lock; ordering,
+// grouping and translating ids back to names happen outside it, on the
+// copies.
 func (ps *plantState) cubeView() olap.View {
 	in := ps.in
 	return olap.View{
 		Dims:  cubeDims,
 		Dict:  []olap.Dim{in.lines, in.machines, in.jobs, in.phases, in.sensors},
 		Ranks: &ps.ranks,
-		Scan: func(visit func(*olap.IntCell)) int {
+		Scan: func(pins []olap.Pin, visit func(*olap.IntCell)) int {
 			total := 0
 			for _, ms := range ps.mstores {
 				ms.mu.Lock()
 				total += ms.nCells
-				if visit != nil {
+				if visit != nil && ms.meets(pins) {
 					ms.eachCell(visit)
 				}
 				ms.mu.Unlock()
@@ -48,6 +49,19 @@ func (ps *plantState) cubeView() olap.View {
 			return total
 		},
 	}
+}
+
+// meets reports whether the machine's cells can meet the pins: whether
+// no pin names another line or machine. The dimensions are positions
+// in the cells' coordinates, which start (line, machine).
+func (ms *machineStore) meets(pins []olap.Pin) bool {
+	for _, p := range pins {
+		switch {
+		case p.Dim == 0 && p.ID != ms.line, p.Dim == 1 && p.ID != ms.id:
+			return false
+		}
+	}
+	return true
 }
 
 // eachCell visits the machine's cube cells, jobs in map order. Callers

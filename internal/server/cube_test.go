@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/olap"
 	"repro/internal/plant"
 	"repro/pkg/hod"
 	"repro/pkg/hod/wire"
@@ -445,6 +446,68 @@ func TestRollupLevelEchoesComputed(t *testing.T) {
 		}
 		if rr.Level != want {
 			t.Fatalf("rollup%s echoed level %q, want %q", query, rr.Level, want)
+		}
+	}
+}
+
+// TestCubePinnedScanVisitsOnlyPinnedMachines: a question pinning a line
+// or a machine walks only the cells of the machine stores it names —
+// the rest add their count, so TotalCells still counts the whole cube —
+// and answers exactly as a walk of every store does.
+func TestCubePinnedScanVisitsOnlyPinnedMachines(t *testing.T) {
+	p, err := plant.Simulate(plant.Config{Seed: 3, Lines: 2, MachinesPerLine: 3, JobsPerMachine: 2, PhaseSamples: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := newPlantState(topoWithDefaults(topoFromPlant("plant-pins", p)))
+	ps.makeShards(2, 8)
+	ps.alertThreshold = 1e18
+	foldPlant(t, ps, machineRecords(p))
+
+	perMachine := 2 * len(plant.PhaseNames) * len(plant.SensorNames)
+	all := len(p.Machines()) * perMachine
+	m0, line0 := p.Machines()[0].ID, p.Lines[0].ID
+	for _, c := range []struct {
+		q        olap.Query
+		machines int // stores the scan may walk
+	}{
+		{olap.Query{Where: map[string]string{"machine": m0}}, 1},
+		{olap.Query{Where: map[string]string{"line": line0}}, len(p.Lines[0].Machines)},
+		{olap.Query{Where: map[string]string{"line": line0, "machine": m0}}, 1},
+		{olap.Query{Op: wire.CubeOpDrilldown, Dim: "job", Where: map[string]string{"machine": m0, "phase": plant.PhaseNames[0]}}, 1},
+		{olap.Query{Op: wire.CubeOpRollup, Keep: []string{"sensor"}, Where: map[string]string{"line": line0}}, len(p.Lines[0].Machines)},
+		{olap.Query{Where: map[string]string{"phase": plant.PhaseNames[0]}}, len(p.Machines())},
+	} {
+		visits := 0
+		pinned := ps.cubeView()
+		scan := pinned.Scan
+		pinned.Scan = func(pins []olap.Pin, visit func(*olap.IntCell)) int {
+			if visit == nil {
+				return scan(pins, nil)
+			}
+			return scan(pins, func(c *olap.IntCell) { visits++; visit(c) })
+		}
+		full := ps.cubeView()
+		full.Scan = func(_ []olap.Pin, visit func(*olap.IntCell)) int { return scan(nil, visit) }
+
+		got, err := pinned.Answer(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := full.Answer(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON, _ := json.Marshal(got)
+		wantJSON, _ := json.Marshal(want)
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("%+v: a pinned scan answers\n%s\na full one\n%s", c.q, gotJSON, wantJSON)
+		}
+		if got.TotalCells != all {
+			t.Fatalf("%+v: TotalCells %d, the cube holds %d", c.q, got.TotalCells, all)
+		}
+		if want := c.machines * perMachine; visits != want {
+			t.Fatalf("%+v: the scan visited %d cells, want the %d of %d machine(s)", c.q, visits, want, c.machines)
 		}
 	}
 }

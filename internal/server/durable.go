@@ -580,7 +580,7 @@ func (ps *plantState) captureState() *snapState {
 				if g == nil {
 					continue
 				}
-				sj.Phases[ph] = cloneSeries(g.bufs)
+				sj.Phases[ph] = flatSeries(&ms.slab, g.cols)
 				sj.Cells[ph] = make([]snapCell, len(g.cells))
 				for s, c := range g.cells {
 					sj.Cells[ph][s] = snapCell{Count: c.Count, Sum: c.Sum, Min: c.Min, Max: c.Max}
@@ -593,21 +593,13 @@ func (ps *plantState) captureState() *snapState {
 		st.Machines[mid] = sm
 	}
 	ps.env.mu.Lock()
-	st.Env = cloneSeries(ps.env.bufs)
+	st.Env = flatSeries(&ps.env.slab, ps.env.cols)
 	ps.env.mu.Unlock()
 	st.Alerts = ps.recentAlerts(0)
 	ps.alertMu.Lock()
 	st.AlertSeq = ps.alertSeq
 	ps.alertMu.Unlock()
 	return st
-}
-
-func cloneSeries(bufs [][]float64) [][]float64 {
-	out := make([][]float64, len(bufs))
-	for i, buf := range bufs {
-		out[i] = slices.Clone(buf)
-	}
-	return out
 }
 
 // applyState loads a state decodeState vetted (or captureState just
@@ -631,7 +623,10 @@ func (ps *plantState) applyState(st *snapState) {
 			js.faulty, js.hasMeta = sj.Faulty, sj.HasMeta
 			for ph, series := range sj.Phases {
 				if len(series) > 0 {
-					copy(ms.grid(js, int32(ph)).bufs, cloneSeries(series))
+					g := ms.grid(js, int32(ph))
+					for s, vals := range series {
+						g.cols[s].load(&ms.slab, vals)
+					}
 				}
 			}
 			for ph, cells := range sj.Cells {
@@ -647,7 +642,9 @@ func (ps *plantState) applyState(st *snapState) {
 			}
 		}
 	}
-	copy(ps.env.bufs, cloneSeries(st.Env))
+	for id, vals := range st.Env {
+		ps.env.cols[id].load(&ps.env.slab, vals)
+	}
 	ps.dataRev.Store(st.DataRev)
 	ps.accepted.Store(st.Accepted)
 	ps.received.Store(st.Received)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -16,9 +15,12 @@ import (
 	"repro/pkg/hod/wire"
 )
 
-// maxSampleIndex limits a single ingested cell: it bounds the memory
-// one malformed record can pin, not the fleet's total volume.
-const maxSampleIndex = 1 << 16 // samples per (job, phase, sensor)
+// maxSampleIndex is the top of the t range a record may carry: samples
+// per (job, phase, sensor). It bounds the length of a series, and so
+// what a report allocates to flatten one; the memory a record pins
+// does not grow with t, since a column only holds the blocks a sample
+// landed in (column, blockLen).
+const maxSampleIndex = 1 << 16
 
 // The server compiles against the shared wire package — pkg/hod/wire
 // is the single source of truth for the v1 protocol, shared with the
@@ -52,30 +54,16 @@ func topoWithDefaults(t Topology) Topology {
 }
 
 // cellGrid holds one (job, phase) of a machine, indexed by interned
-// sensor id: the sample buffers and, beside each, the OLAP cube cell
-// aggregating that buffer's first-seen values — a cube coordinate
-// (line, machine, job, phase, sensor) names exactly one buffer, so the
+// sensor id: the sample columns and, beside each, the OLAP cube cell
+// aggregating that column's first-seen values — a cube coordinate
+// (line, machine, job, phase, sensor) names exactly one column, so the
 // cell needs no index of its own. A cell exists once its Count > 0.
-// Samples are written set-at-index with NaN holes, so replayed batches
-// are idempotent — the retry story after a 429 needs no dedup state.
+// The columns' blocks live in the machine's slab: a grid costs its two
+// headers plus, per 16-sample run that holds a sample, one 128-byte
+// block and one directory entry, whatever t the samples carry.
 type cellGrid struct {
-	bufs  [][]float64    // sensor id → samples
+	cols  []column       // sensor id → samples
 	cells []olap.IntCell // sensor id → cube cell
-}
-
-// set writes one sample and reports whether the cell was previously
-// empty (a fresh observation rather than an idempotent overwrite) and
-// whether the stored value changed at all.
-func (g *cellGrid) set(sensor int32, t int, v float64) (fresh, changed bool) {
-	buf := g.bufs[sensor]
-	for len(buf) <= t {
-		buf = append(buf, math.NaN())
-	}
-	fresh = math.IsNaN(buf[t])
-	changed = fresh || buf[t] != v
-	buf[t] = v
-	g.bufs[sensor] = buf
-	return fresh, changed
 }
 
 type jobStore struct {
@@ -103,6 +91,7 @@ type machineStore struct {
 	leaves            []stats.Online      // phase id*nSensors + sensor id → roll-up leaf
 	trackers          []stats.EWMATracker // sensor id → alert tracker
 	nCells            int                 // cube cells with Count > 0
+	slab              slab                // the blocks of every job's columns
 }
 
 func newMachineStore(line, id int32, nPhases, nSensors int) *machineStore {
@@ -134,7 +123,7 @@ func (ms *machineStore) job(id int32) *jobStore {
 func (ms *machineStore) grid(j *jobStore, phase int32) *cellGrid {
 	g := j.phases[phase]
 	if g == nil {
-		g = &cellGrid{bufs: make([][]float64, ms.nSensors), cells: make([]olap.IntCell, ms.nSensors)}
+		g = &cellGrid{cols: make([]column, ms.nSensors), cells: make([]olap.IntCell, ms.nSensors)}
 		j.phases[phase] = g
 	}
 	return g
@@ -144,7 +133,7 @@ func (ms *machineStore) grid(j *jobStore, phase int32) *cellGrid {
 // grid it landed in. Callers must hold mu.
 func (ms *machineStore) set(ref recordRef) (g *cellGrid, fresh, changed bool) {
 	g = ms.grid(ms.job(ref.job), ref.phase)
-	fresh, changed = g.set(ref.sensor, int(ref.t), ref.value)
+	fresh, changed = g.cols[ref.sensor].set(&ms.slab, int(ref.t), ref.value)
 	return g, fresh, changed
 }
 
@@ -166,29 +155,22 @@ func (ms *machineStore) setMeta(id int32, m JobMeta) (changed bool) {
 	return true
 }
 
-// envStore buffers the shared shop-floor climate series, indexed by
+// envStore holds the shared shop-floor climate series, indexed by
 // interned environment-sensor id.
 type envStore struct {
 	mu   sync.Mutex
-	bufs [][]float64 // env sensor id → samples
+	cols []column // env sensor id → samples
+	slab slab
 }
 
 func newEnvStore(nSensors int) *envStore {
-	return &envStore{bufs: make([][]float64, nSensors)}
+	return &envStore{cols: make([]column, nSensors)}
 }
 
 func (es *envStore) set(sensor int32, t int, v float64) (fresh, changed bool) {
 	es.mu.Lock()
 	defer es.mu.Unlock()
-	buf := es.bufs[sensor]
-	for len(buf) <= t {
-		buf = append(buf, math.NaN())
-	}
-	fresh = math.IsNaN(buf[t])
-	changed = fresh || buf[t] != v
-	buf[t] = v
-	es.bufs[sensor] = buf
-	return fresh, changed
+	return es.cols[sensor].set(&es.slab, t, v)
 }
 
 // assemblyStart anchors the assembled time axes. Detection never reads
@@ -238,10 +220,8 @@ func buildMachine(topo Topology, lineID, machineID string, ms *machineStore, job
 				continue
 			}
 			n := 0
-			for _, buf := range g.bufs {
-				if len(buf) > n {
-					n = len(buf)
-				}
+			for _, c := range g.cols {
+				n = max(n, int(c.n))
 			}
 			if n == 0 {
 				continue
@@ -249,15 +229,8 @@ func buildMachine(topo Topology, lineID, machineID string, ms *machineStore, job
 			phStart := assemblyStart.Add(time.Duration(offset) * time.Second)
 			dims := make([]*timeseries.Series, 0, len(topo.Sensors))
 			for sID, sensor := range topo.Sensors {
-				var cells []float64
-				if sID < len(g.bufs) {
-					cells = g.bufs[sID]
-				}
 				vals := make([]float64, n)
-				copy(vals, cells)
-				for i := len(cells); i < n; i++ {
-					vals[i] = math.NaN()
-				}
+				g.cols[sID].fill(&ms.slab, vals)
 				timeseries.Interpolate(vals)
 				dims = append(dims, timeseries.New(sensor, phStart, time.Second, vals))
 			}
@@ -287,21 +260,12 @@ func (es *envStore) build(topo Topology) (*timeseries.MultiSeries, error) {
 	defer es.mu.Unlock()
 	dims := make([]*timeseries.Series, 0, len(topo.EnvSensors))
 	n := 0
-	for id := range topo.EnvSensors {
-		if id < len(es.bufs) && len(es.bufs[id]) > n {
-			n = len(es.bufs[id])
-		}
+	for _, c := range es.cols {
+		n = max(n, int(c.n))
 	}
 	for id, s := range topo.EnvSensors {
-		var cells []float64
-		if id < len(es.bufs) {
-			cells = es.bufs[id]
-		}
 		vals := make([]float64, n)
-		copy(vals, cells)
-		for i := len(cells); i < n; i++ {
-			vals[i] = math.NaN()
-		}
+		es.cols[id].fill(&es.slab, vals)
 		timeseries.Interpolate(vals)
 		dims = append(dims, timeseries.New(s, assemblyStart, time.Second, vals))
 	}
