@@ -1,7 +1,7 @@
 // Package server is the fleet serving layer: a stdlib-only HTTP
 // service that ingests live sensor samples for a registered fleet of
 // plants, admits every batch as wire frames through one resolver
-// (resolveFrame: NDJSON bodies are built into a frame after decoding,
+// (resolveFrame: NDJSON bodies are read line by line into a frame,
 // binary bodies, WAL replay and the standby tailer arrive as frames),
 // shards them onto per-machine pipelines with bounded queues
 // (backpressure surfaces as 429 + Retry-After), maintains an
@@ -327,9 +327,10 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // ingestScratch is the per-request working set of handleIngest: the
-// frame a binary body decodes into, the builder an NDJSON body's records
-// are built into, and the resolver's dictionary translations. Pooled,
-// so a steady ingest load reuses their backing arrays.
+// frame a binary body decodes into, the builder an NDJSON body is read
+// into (with its line buffer), and the resolver's dictionary
+// translations. Pooled, so a steady ingest load reuses their backing
+// arrays.
 type ingestScratch struct {
 	frame   wire.Frame
 	builder *wire.FrameBuilder
@@ -357,11 +358,11 @@ var errRefusedMediaType = errors.New("ingest takes NDJSON (application/x-ndjson,
 // decodeBody decodes one ingest body and resolves it against the
 // plant's intern tables. The server has two doors, and every body
 // resolves as wire frames: a binary body (application/x-hod-batch)
-// frame by frame as it is read, any other body as NDJSON, its records
-// built into one frame after decoding. A CSV or JSON media type is
-// refused rather than misread as NDJSON. A body that does not decode
-// is refused whole, with the wire code to answer it with: bad_frame
-// for a binary body, bad_request for any other.
+// frame by frame as it is read, any other body as NDJSON, read line by
+// line into one frame. A CSV or JSON media type is refused rather than
+// misread as NDJSON. A body that does not decode is refused whole, with
+// the wire code to answer it with: bad_frame for a binary body,
+// bad_request for any other.
 func (ps *plantState) decodeBody(body io.Reader, contentType string, sc *ingestScratch) (resolvedBody, string, error) {
 	mt, _, _ := mime.ParseMediaType(contentType) // "" (NDJSON) when absent or unparsable
 	switch mt {
@@ -370,15 +371,11 @@ func (ps *plantState) decodeBody(body io.Reader, contentType string, sc *ingestS
 	case wire.ContentTypeBinary:
 		return ps.decodeFrames(body, sc)
 	}
-	recs, err := wire.DecodeNDJSON(body)
-	if err != nil {
+	sc.builder.Reset()
+	if err := sc.builder.AddNDJSON(body); err != nil {
 		return resolvedBody{}, wire.CodeBadRequest, err
 	}
-	sc.builder.Reset()
-	for _, rec := range recs {
-		sc.builder.Add(rec)
-	}
-	rb := resolvedBody{records: len(recs)}
+	rb := resolvedBody{records: sc.builder.Len()}
 	rb.refs, rb.rejected, rb.firstErr = ps.resolveFrame(nil, sc.builder.Frame(), &sc.resolve)
 	return rb, "", nil
 }

@@ -680,6 +680,24 @@ func TestErrorEnvelopeAndStrictQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	envelope(t, resp, http.StatusBadRequest, wire.CodeBadRequest)
+
+	// A bad NDJSON line names the line and the key in the message, not
+	// encoding/json's Go type names.
+	m := p.Machines()[0]
+	resp, err = http.Post(ts.URL+"/v1/plants/plant-env/ingest", "application/x-ndjson", strings.NewReader(
+		fmt.Sprintf(`{"machine":%q,"job":"j","phase":"print","sensor":"temp-a","t":0,"value":1}`+"\n"+
+			`{"machine":%q,"job":"j","phase":"print","sensor":"temp-a","t":"1","value":1}`+"\n", m.ID, m.ID)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env wire.ErrorEnvelope
+	if err := json.Unmarshal(mustStatus(t, resp, http.StatusBadRequest), &env); err != nil {
+		t.Fatal(err)
+	}
+	if msg := env.Err.Message; env.Err.Code != wire.CodeBadRequest || !strings.Contains(msg, "ndjson line 2") ||
+		!strings.Contains(msg, `"t"`) || strings.Contains(msg, "Go struct field") {
+		t.Fatalf("bad line answered %q: %q", env.Err.Code, msg)
+	}
 }
 
 // TestCorrectedValueReachesSnapshot re-sends an existing cell with a

@@ -1,56 +1,12 @@
 package wire
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 )
-
-// EncodeNDJSON renders records as an NDJSON ingest body: one JSON
-// object per line.
-func EncodeNDJSON(recs []Record) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, r := range recs {
-		if err := enc.Encode(r); err != nil {
-			return nil, err
-		}
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeNDJSON parses an NDJSON ingest body, the server's text door:
-// one Record object per line, blank lines skipped.
-func DecodeNDJSON(r io.Reader) ([]Record, error) {
-	var out []Record
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("ndjson line %d: %w", line, err)
-		}
-		out = append(out, rec)
-		if len(out) > MaxBatchRecords {
-			return nil, fmt.Errorf("batch exceeds the %d-record cap", MaxBatchRecords)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("ndjson: %w", err)
-	}
-	return out, nil
-}
 
 // DecodeCSV converts a plantsim trace into records, dispatching on the
 // header row between the two schemas: machine-sensor rows

@@ -1,14 +1,11 @@
 package wire
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"strconv"
-	"unicode/utf16"
 	"unicode/utf8"
 )
 
@@ -21,7 +18,9 @@ import (
 // encoder produces json.Marshal's bytes, and the decoder accepts what
 // json.Unmarshal accepts into a CubeResponse and yields the same value,
 // with one exception — keys must match a field's JSON name exactly;
-// encoding/json's case-insensitive fallback is not honoured.
+// encoding/json's case-insensitive fallback is not honoured. The
+// decoder's scanner is jsonReader (jsonread.go), which the NDJSON
+// ingest door reads with too.
 
 // AppendCubeResponse appends the JSON encoding of r to dst. The bytes
 // are json.Marshal's (field order, omitempty, float formatting, HTML-
@@ -60,7 +59,7 @@ func AppendCubeResponse(dst []byte, r *CubeResponse) ([]byte, error) {
 				v   float64
 			}{{`,"sum":`, c.Sum}, {`,"mean":`, c.Mean}, {`,"min":`, c.Min}, {`,"max":`, c.Max}} {
 				if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-					return dst[:start], &json.UnsupportedValueError{Value: reflect.ValueOf(f.v), Str: strconv.FormatFloat(f.v, 'g', -1, 64)}
+					return dst[:start], unsupportedFloat(f.v)
 				}
 				dst = append(dst, f.key...)
 				dst = appendFloat(dst, f.v)
@@ -172,7 +171,7 @@ func appendString(dst []byte, s string) []byte {
 // value json.Unmarshal would. Keys must match a field's JSON name
 // exactly. Equal strings inside the body's arrays share one string.
 func DecodeCubeResponse(data []byte) (CubeResponse, error) {
-	d := cubeDecoder{data: data}
+	d := cubeDecoder{jsonReader: jsonReader{data: data}}
 	var r CubeResponse
 	d.space()
 	var err error
@@ -191,132 +190,17 @@ func DecodeCubeResponse(data []byte) (CubeResponse, error) {
 		}
 	}
 	if err != nil {
-		return CubeResponse{}, err
+		return CubeResponse{}, fmt.Errorf("%w: %w", errCubeBody, err)
 	}
 	return r, nil
 }
 
-// maxDepth is encoding/json's nesting limit: a document nested deeper
-// is a syntax error there, so it is one here.
-const maxDepth = 10000
-
 var errCubeBody = errors.New("wire: bad cube body")
 
 type cubeDecoder struct {
-	data    []byte
-	i       int
-	scratch []byte            // unescaped string bytes
-	strs    map[string]string // one string per distinct array member
-	arena   []string          // backing of fresh coordinates
-	coord   []string          // the coordinate being read
-}
-
-func (d *cubeDecoder) fail(what string) error {
-	return fmt.Errorf("%w: %s at offset %d", errCubeBody, what, d.i)
-}
-
-func (d *cubeDecoder) peek() byte {
-	if d.i < len(d.data) {
-		return d.data[d.i]
-	}
-	return 0
-}
-
-func (d *cubeDecoder) space() {
-	i := d.i
-	for i < len(d.data) && (d.data[i] == ' ' || d.data[i] == '\t' || d.data[i] == '\n' || d.data[i] == '\r') {
-		i++
-	}
-	d.i = i
-}
-
-func (d *cubeDecoder) literal(word string) error {
-	if len(d.data)-d.i < len(word) || string(d.data[d.i:d.i+len(word)]) != word {
-		return d.fail("bad literal")
-	}
-	d.i += len(word)
-	return nil
-}
-
-// null consumes a null literal if one is next.
-func (d *cubeDecoder) null() (bool, error) {
-	if d.peek() != 'n' {
-		return false, nil
-	}
-	return true, d.literal("null")
-}
-
-// object reads an object at nesting depth depth (the reader is on its
-// '{'), calling member with each unescaped key; member reads the value.
-func (d *cubeDecoder) object(depth int, member func(key []byte) error) error {
-	if depth > maxDepth {
-		return d.fail("nesting too deep")
-	}
-	d.i++
-	d.space()
-	if d.peek() == '}' {
-		d.i++
-		return nil
-	}
-	for {
-		if d.peek() != '"' {
-			return d.fail("want a key")
-		}
-		key, err := d.rawString()
-		if err != nil {
-			return err
-		}
-		d.space()
-		if d.peek() != ':' {
-			return d.fail("want ':'")
-		}
-		d.i++
-		d.space()
-		if err := member(key); err != nil {
-			return err
-		}
-		d.space()
-		switch d.peek() {
-		case ',':
-			d.i++
-			d.space()
-		case '}':
-			d.i++
-			return nil
-		default:
-			return d.fail("want ',' or '}'")
-		}
-	}
-}
-
-// array reads an array at nesting depth depth (the reader is on its
-// '['), calling elem for each element; elem reads it.
-func (d *cubeDecoder) array(depth int, elem func() error) error {
-	if depth > maxDepth {
-		return d.fail("nesting too deep")
-	}
-	d.i++
-	d.space()
-	if d.peek() == ']' {
-		d.i++
-		return nil
-	}
-	for {
-		if err := elem(); err != nil {
-			return err
-		}
-		d.space()
-		switch d.peek() {
-		case ',':
-			d.i++
-			d.space()
-		case ']':
-			d.i++
-			return nil
-		default:
-			return d.fail("want ',' or ']'")
-		}
-	}
+	jsonReader
+	arena []string // backing of fresh coordinates
+	coord []string // the coordinate being read
 }
 
 func (d *cubeDecoder) responseField(r *CubeResponse, key []byte) error {
@@ -441,18 +325,6 @@ func (d *cubeDecoder) take(s []string) []string {
 	return d.arena[at : at+len(s) : at+len(s)]
 }
 
-func (d *cubeDecoder) intern(b []byte) string {
-	if s, ok := d.strs[string(b)]; ok {
-		return s
-	}
-	if d.strs == nil {
-		d.strs = make(map[string]string)
-	}
-	s := string(b)
-	d.strs[s] = s
-	return s
-}
-
 // stringField reads a string; null leaves *dst as it was.
 func (d *cubeDecoder) stringField(dst *string) error {
 	if null, err := d.null(); null || err != nil {
@@ -503,182 +375,4 @@ func (d *cubeDecoder) floatField(dst *float64) error {
 	}
 	*dst = v
 	return nil
-}
-
-// number reads a JSON number and returns its literal.
-func (d *cubeDecoder) number() ([]byte, error) {
-	data, i := d.data, d.i
-	digits := func(i int) int {
-		for i < len(data) && data[i]-'0' < 10 {
-			i++
-		}
-		return i
-	}
-	start := i
-	if i < len(data) && data[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(data) && data[i] == '0':
-		i++
-	case i < len(data) && data[i]-'1' < 9:
-		i = digits(i)
-	default:
-		d.i = i
-		return nil, d.fail("want a number")
-	}
-	if i < len(data) && data[i] == '.' {
-		j := digits(i + 1)
-		if j == i+1 {
-			d.i = j
-			return nil, d.fail("want a fraction digit")
-		}
-		i = j
-	}
-	if i < len(data) && data[i]|0x20 == 'e' {
-		i++
-		if i < len(data) && (data[i] == '+' || data[i] == '-') {
-			i++
-		}
-		j := digits(i)
-		if j == i {
-			d.i = j
-			return nil, d.fail("want an exponent digit")
-		}
-		i = j
-	}
-	d.i = i
-	return data[start:i], nil
-}
-
-// rawString reads a string (the reader is on its opening quote) and
-// returns its unescaped bytes: a window of the input when there is
-// nothing to unescape, else the decoder's scratch buffer, valid until
-// the next call. Unescaping is encoding/json's: invalid UTF-8 and
-// unpaired surrogates become U+FFFD.
-func (d *cubeDecoder) rawString() ([]byte, error) {
-	data, start := d.data, d.i+1
-	i := start
-	for i < len(data) {
-		c := data[i]
-		if c == '"' {
-			d.i = i + 1
-			return data[start:i], nil
-		}
-		if c == '\\' || c < ' ' {
-			break
-		}
-		if c < utf8.RuneSelf {
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRune(data[i:])
-		if r == utf8.RuneError && size == 1 {
-			break
-		}
-		i += size
-	}
-	d.i = i
-	b := append(d.scratch[:0], d.data[start:d.i]...)
-	defer func() { d.scratch = b[:0] }()
-	for d.i < len(d.data) {
-		c := d.data[d.i]
-		switch {
-		case c == '"':
-			d.i++
-			return b, nil
-		case c < ' ':
-			return nil, d.fail("control character in string")
-		case c == '\\':
-			d.i++
-			switch e := d.peek(); e {
-			case '"', '\\', '/':
-				b = append(b, e)
-			case 'b':
-				b = append(b, '\b')
-			case 'f':
-				b = append(b, '\f')
-			case 'n':
-				b = append(b, '\n')
-			case 'r':
-				b = append(b, '\r')
-			case 't':
-				b = append(b, '\t')
-			case 'u':
-				r := hex4(d.data[d.i+1:])
-				if r < 0 {
-					return nil, d.fail("bad \\u escape")
-				}
-				d.i += 4
-				if utf16.IsSurrogate(r) {
-					var r2 rune = -1
-					if rest := d.data[d.i+1:]; len(rest) >= 2 && rest[0] == '\\' && rest[1] == 'u' {
-						r2 = hex4(rest[2:])
-					}
-					if dec := utf16.DecodeRune(r, r2); dec != utf8.RuneError {
-						r = dec
-						d.i += 6
-					} else {
-						r = utf8.RuneError
-					}
-				}
-				b = utf8.AppendRune(b, r)
-			default:
-				return nil, d.fail("bad escape")
-			}
-			d.i++
-		case c < utf8.RuneSelf:
-			b = append(b, c)
-			d.i++
-		default:
-			r, size := utf8.DecodeRune(d.data[d.i:])
-			b = utf8.AppendRune(b, r)
-			d.i += size
-		}
-	}
-	return nil, d.fail("unterminated string")
-}
-
-// hex4 reads four hex digits, or returns -1.
-func hex4(b []byte) rune {
-	if len(b) < 4 {
-		return -1
-	}
-	var r rune
-	for _, c := range b[:4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c = c - 'a' + 10
-		case 'A' <= c && c <= 'F':
-			c = c - 'A' + 10
-		default:
-			return -1
-		}
-		r = r*16 + rune(c)
-	}
-	return r
-}
-
-// skip reads and discards any value at nesting depth depth.
-func (d *cubeDecoder) skip(depth int) error {
-	switch c := d.peek(); {
-	case c == '{':
-		return d.object(depth, func([]byte) error { return d.skip(depth + 1) })
-	case c == '[':
-		return d.array(depth, func() error { return d.skip(depth + 1) })
-	case c == '"':
-		_, err := d.rawString()
-		return err
-	case c == 't':
-		return d.literal("true")
-	case c == 'f':
-		return d.literal("false")
-	case c == 'n':
-		return d.literal("null")
-	default:
-		_, err := d.number()
-		return err
-	}
 }

@@ -265,11 +265,14 @@ func readI32Col(dst []int32, p []byte, n, dictLen int, name string) ([]int32, []
 // FrameBuilder accumulates Records into a Frame, interning identifier
 // strings into the frame-local dictionaries. It is the client-side half
 // of the binary codec (EncodeBinary, behind every hod.Client ingest,
-// builds its frame with one), and the server builds every NDJSON batch
-// into a Frame with one, so all ingest bodies resolve as frames.
+// builds its frame with one), and the server reads every NDJSON body
+// into a Frame with one (AddNDJSON), so all ingest bodies resolve as
+// frames.
 type FrameBuilder struct {
 	f                                   Frame
 	machineID, jobID, phaseID, sensorID map[string]int32
+	nd                                  ndjsonReader
+	lastID                              [keySensor + 1]int32 // AddNDJSON's last id per name column
 }
 
 // NewFrameBuilder returns an empty builder.
