@@ -257,23 +257,21 @@ func foldPlant(t testing.TB, ps *plantState, recs []Record) {
 // snapshot contract: a restore reproduces the exact job-id assignment
 // the snapshot was captured under.
 func TestSnapshotRoundTripPreservesJobInterns(t *testing.T) {
-	ps := newPlantState(binaryTestTopo())
+	ps := newPlantState(topoWithDefaults(binaryTestTopo())) // as registration fills it in
 	ps.makeShards(2, 8)
 	ps.alertThreshold = 1e18
 	foldPlant(t, ps, binaryTestRecords())
 
-	st := ps.captureState()
-	if want := ps.in.jobs.Names(); !reflect.DeepEqual(st.JobInterns, want) {
-		t.Fatalf("snapshot JobInterns %v, want %v", st.JobInterns, want)
+	payload, _ := ps.encodeState(false)
+	restored, _, err := decodeState(payload)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	restored := newPlantState(binaryTestTopo())
-	restored.makeShards(2, 8)
-	restored.applyState(st)
-	if got := restored.in.jobs.Names(); !reflect.DeepEqual(got, st.JobInterns) {
-		t.Fatalf("restored interns %v, want %v", got, st.JobInterns)
+	want := ps.in.jobs.Names()
+	if got := restored.in.jobs.Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored interns %v, want %v", got, want)
 	}
-	for wantID, name := range st.JobInterns {
+	for wantID, name := range want {
 		if id, ok := restored.in.jobs.ID(name); !ok || int(id) != wantID {
 			t.Fatalf("job %q restored as id %d (ok=%v), want %d", name, id, ok, wantID)
 		}

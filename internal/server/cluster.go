@@ -10,7 +10,6 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -336,24 +335,23 @@ func (s *Server) seedStandby(plantID string) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("cluster: seeding plant %q from %s: status %d", plantID, owner.ID, resp.StatusCode)
 	}
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, maxRestoreBytes))
+	buf, err := io.ReadAll(http.MaxBytesReader(nil, resp.Body, s.restoreCap()))
 	if err != nil {
-		return err
+		return fmt.Errorf("cluster: seeding plant %q from %s: %w", plantID, owner.ID, err)
 	}
 	rev, payload, err := wal.DecodeSnapshot(buf)
 	if err != nil {
 		return err
 	}
-	st, err := decodeState(payload)
+	// The owner's per-shard fold positions are where tailing starts.
+	ps, positions, err := decodeState(payload)
 	if err != nil {
 		return err
 	}
-	if st.Topo.ID != plantID {
-		return fmt.Errorf("cluster: owner %s sent plant %q, wanted %q", owner.ID, st.Topo.ID, plantID)
+	if ps.topo.ID != plantID {
+		return fmt.Errorf("cluster: owner %s sent plant %q, wanted %q", owner.ID, ps.topo.ID, plantID)
 	}
-	// The owner's per-shard fold positions are where tailing starts.
-	positions := slices.Clone(st.ShardSeqs)
-	if err := s.installState(st, rev); err != nil {
+	if err := s.installState(ps, rev); err != nil {
 		return fmt.Errorf("cluster: seeding plant %q: %w", plantID, err)
 	}
 	s.startTailer(plantID, positions)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -124,5 +125,30 @@ func TestApplyFramesTornVersusCorrupt(t *testing.T) {
 	}
 	if _, err := tailer.applyFrames(nil, 0, &garbage); !errors.Is(err, errShipCorrupt) {
 		t.Fatalf("undecodable payload: err = %v, want errShipCorrupt", err)
+	}
+}
+
+// TestSeedCapMatchesRestore: a standby seed reads the owner's backup
+// under the cap POST /restore applies — never below 1 GiB,
+// MaxBodyBytes when that is higher — and through the same reader, so a
+// body above the cap is refused as too large, not cut short into a CRC
+// mismatch.
+func TestSeedCapMatchesRestore(t *testing.T) {
+	for _, c := range []struct{ maxBody, want int64 }{{0, 1 << 30}, {2 << 30, 2 << 30}} {
+		srv := New(Options{MaxBodyBytes: c.maxBody})
+		if got := srv.restoreCap(); got != c.want {
+			t.Errorf("MaxBodyBytes %d: restore cap %d, want %d", c.maxBody, got, c.want)
+		}
+		srv.Close()
+	}
+	body := bytes.Repeat([]byte{0xB1}, 64)
+	read := func(limit int64) ([]byte, error) {
+		return io.ReadAll(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), limit))
+	}
+	if got, err := read(64); err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("a body at the cap: %d bytes, %v", len(got), err)
+	}
+	if _, err := read(63); err == nil || !strings.Contains(err.Error(), "too large") {
+		t.Fatalf("a body one byte over the cap: %v, want it refused as too large", err)
 	}
 }

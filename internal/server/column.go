@@ -111,40 +111,46 @@ func (c *column) fill(s *slab, dst []float64) {
 	fillNaN(dst[next:])
 }
 
-// flat returns the series as the padded slice it reads as: n samples,
-// nil when nothing was written.
-func (c *column) flat(s *slab) []float64 {
-	if c.n == 0 {
-		return nil
+// blockBytes is a block's size in a snapshot: its number and samples.
+const blockBytes = 4 + blockLen*8
+
+// appendTo writes the column as a snapshot holds it: n, then each block
+// a sample landed in, with its number. s is the owning store's slab.
+func (c *column) appendTo(b []byte, s *slab) []byte {
+	b = appendU32(appendU32(b, int(c.n)), len(c.dir))
+	for _, r := range c.dir {
+		b = appendF64(appendU32(b, int(r.blk)), s.block(r.slot)[:]...)
 	}
-	out := make([]float64, c.n)
-	c.fill(s, out)
-	return out
+	return b
 }
 
-// load writes a flat series back: every non-NaN sample, and its length
-// — a trailing NaN pad still counts towards n, as it did when flat
-// produced it.
-func (c *column) load(s *slab, vals []float64) {
-	for t, v := range vals {
-		if !math.IsNaN(v) {
-			c.set(s, t, v)
+// column reads what appendTo wrote into a fresh column, carving its
+// blocks from s and sizing its directory once. It refuses a length past
+// the t range and blocks no set below n could have made: numbers not
+// ascending, or a last block not holding sample n-1.
+func (d *snapDecoder) column(c *column, s *slab) {
+	n := d.u32()
+	if n > maxSampleIndex {
+		d.fail("column of %d samples, the t range holds %d", n, maxSampleIndex)
+	}
+	c.n, c.dir = int32(n), make([]blockRef, d.count(int(n+blockLen-1)/blockLen, blockBytes, "blocks"))
+	for i := range c.dir {
+		c.dir[i] = blockRef{int32(d.u32()), s.carve()}
+		if i > 0 && uint32(c.dir[i].blk) <= uint32(c.dir[i-1].blk) {
+			d.fail("column blocks not ascending")
+		}
+		b := s.block(c.dir[i].slot)
+		for j := range b {
+			b[j] = d.f64()
 		}
 	}
-	c.n = max(c.n, int32(len(vals)))
+	if last := len(c.dir) - 1; n > 0 && (last < 0 || uint32(c.dir[last].blk) != (n-1)/blockLen) {
+		d.fail("column of %d samples does not end in the block of its last sample", n)
+	}
 }
 
 func fillNaN(dst []float64) {
 	for i := range dst {
 		dst[i] = math.NaN()
 	}
-}
-
-// flatSeries flattens columns sharing one slab, in position order.
-func flatSeries(s *slab, cols []column) [][]float64 {
-	out := make([][]float64, len(cols))
-	for i := range cols {
-		out[i] = cols[i].flat(s)
-	}
-	return out
 }

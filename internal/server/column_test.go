@@ -20,12 +20,15 @@ func liveHeap() int64 {
 
 // TestHostileFarSamplesBounded folds 2 000 valid records, each under a
 // job of its own at the top of the t range, and bounds the live heap
-// they pin. A column padded with NaN up to t held 557 554 bytes per
-// record here (64 Ki floats plus append slack); a column of blocks
-// holds one block, beside the job, grid and cube cell every new job
-// costs anyway.
+// they pin, then the snapshot of them: the bytes it encodes to and the
+// bytes encoding and decoding it allocate, per accepted record. A
+// column padded with NaN up to t held 557 554 bytes per record here
+// (64 Ki floats plus append slack), and a format-2 snapshot wrote the
+// pad out — about 590 KB per record, allocating several MB; a column of
+// blocks holds one block, beside the job, grid and cube cell every new
+// job costs anyway, and the snapshot writes that block.
 func TestHostileFarSamplesBounded(t *testing.T) {
-	ps := newPlantState(binaryTestTopo())
+	ps := newPlantState(topoWithDefaults(binaryTestTopo()))
 	ps.makeShards(1, 8)
 	ps.alertThreshold = math.Inf(1)
 	recs := make([]Record, 2000)
@@ -44,6 +47,27 @@ func TestHostileFarSamplesBounded(t *testing.T) {
 	t.Logf("live heap grew %d bytes per record", per)
 	if per > perRecord {
 		t.Fatalf("live heap grew %d bytes per record at t = %d, want at most %d", per, maxSampleIndex-1, perRecord)
+	}
+
+	// The snapshot: about 300 bytes per record (the job's name, its
+	// entry, one grid of two columns and one block), and what encoding
+	// and decoding allocate beside them.
+	const snapPerRecord, allocPerRecord = 1 << 10, 4 << 10
+	var payload []byte
+	encAlloc := allocated(func() { payload, _ = ps.encodeState(true) })
+	var err error
+	decAlloc := allocated(func() { _, _, err = decodeState(payload) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := uint64(len(recs))
+	t.Logf("snapshot: %d bytes per record, encoding allocated %d and decoding %d per record",
+		uint64(len(payload))/n, encAlloc/n, decAlloc/n)
+	if uint64(len(payload))/n > snapPerRecord {
+		t.Fatalf("snapshot of %d bytes per record at t = %d, want at most %d", uint64(len(payload))/n, maxSampleIndex-1, snapPerRecord)
+	}
+	if encAlloc/n > allocPerRecord || decAlloc/n > allocPerRecord {
+		t.Fatalf("snapshot encoding allocated %d and decoding %d bytes per record, want at most %d each", encAlloc/n, decAlloc/n, allocPerRecord)
 	}
 }
 
@@ -79,11 +103,11 @@ func sameSeries(a, b []float64) bool {
 // duplicates, corrections and stored NaN values (math.NaN, the one NaN
 // the store itself writes; admission refuses NaN samples). Every write
 // must report the reference's fresh/changed flags, every column must
-// flatten to the reference's series, and the format-2 snapshot must
-// encode to the bytes the reference series give — also after a
-// restore.
+// read as the reference's series, and so must every column of the
+// plant its snapshot decodes to, which must capture back to the same
+// bytes.
 func TestColumnMatchesFlatReference(t *testing.T) {
-	topo := topoWithDefaults(binaryTestTopo()) // as registration and decodeState fill it in
+	topo := topoWithDefaults(binaryTestTopo()) // as registration fills it in, and decodeState wants it
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ps := newPlantState(topo)
@@ -163,59 +187,47 @@ func TestColumnMatchesFlatReference(t *testing.T) {
 			}
 		}
 
-		for k, series := range refGrids {
-			ms := ps.mstores[k.machine]
-			g := ms.jobsByID[k.job].phases[k.phase]
-			for s, want := range series {
-				if got := g.cols[s].flat(&ms.slab); !sameSeries(got, want) {
-					t.Fatalf("seed %d: machine %d job %d phase %d sensor %d flattens to %d samples, reference %d (or a hole moved)",
-						seed, k.machine, k.job, k.phase, s, len(got), len(want))
+		// The columns, and the columns the snapshot decodes to, must
+		// read as the reference series; and the decoded plant must
+		// capture back to the same bytes.
+		payload, _ := ps.encodeState(false)
+		restored, _, err := decodeState(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, p := range map[string]*plantState{"store": ps, "restored": restored} {
+			for k, series := range refGrids {
+				ms := p.mstores[k.machine]
+				g := ms.jobsByID[k.job].phases[k.phase]
+				for s, want := range series {
+					if got := flatten(&g.cols[s], &ms.slab); !sameSeries(got, want) {
+						t.Fatalf("seed %d: %s: machine %d job %d phase %d sensor %d reads %d samples, reference %d (or a hole moved)",
+							seed, name, k.machine, k.job, k.phase, s, len(got), len(want))
+					}
+				}
+			}
+			for s, want := range refEnv {
+				if got := flatten(&p.env.cols[s], &p.env.slab); !sameSeries(got, want) {
+					t.Fatalf("seed %d: %s: env sensor %d reads %d samples, reference %d", seed, name, s, len(got), len(want))
 				}
 			}
 		}
-		for s, want := range refEnv {
-			if got := ps.env.cols[s].flat(&ps.env.slab); !sameSeries(got, want) {
-				t.Fatalf("seed %d: env sensor %d flattens to %d samples, reference %d", seed, s, len(got), len(want))
-			}
-		}
-
-		st := ps.captureState()
-		got, err := encodeState(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for mid := range st.Machines {
-			for i := range st.Machines[mid].Jobs {
-				sj := &st.Machines[mid].Jobs[i]
-				for ph := range sj.Phases {
-					sj.Phases[ph] = refGrids[gridKey{int32(mid), sj.Job, int32(ph)}]
-				}
-			}
-		}
-		st.Env = refEnv
-		want, err := encodeState(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("seed %d: the snapshot of the columns (%d bytes) differs from that of the reference series (%d bytes)", seed, len(got), len(want))
-		}
-
-		decoded, err := decodeState(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		restored := newPlantState(decoded.Topo)
 		restored.makeShards(1, 8)
-		restored.applyState(decoded)
-		again, err := encodeState(restored.captureState())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again, got) {
-			t.Fatalf("seed %d: capture → restore → capture changed the snapshot (%d vs %d bytes)", seed, len(again), len(got))
+		if again, _ := restored.encodeState(false); !bytes.Equal(again, payload) {
+			t.Fatalf("seed %d: capture → restore → capture changed the snapshot (%d vs %d bytes)", seed, len(again), len(payload))
 		}
 	}
+}
+
+// flatten reads a column as the padded slice it stands for: n samples,
+// nil when nothing was written.
+func flatten(c *column, s *slab) []float64 {
+	if c.n == 0 {
+		return nil
+	}
+	out := make([]float64, c.n)
+	c.fill(s, out)
+	return out
 }
 
 // BenchmarkFold is the fold hop alone: one bench-shaped machine (96

@@ -16,8 +16,8 @@ import (
 // columns (cellGrid.cells), and are folded where the samples are
 // (foldRefs, under the machine's mutex). The cube therefore rides the
 // WAL + snapshot recovery contract for free: replayed batches rebuild
-// it through the same path, and captureState/applyState carry its
-// cells with the jobs they belong to.
+// it through the same path, and a snapshot carries each cell beside
+// the column it aggregates.
 
 // cubeDims are the fixed dimensions of the per-plant serving cube —
 // the wire package owns the list, shared with the SDK's batch builder.

@@ -368,10 +368,10 @@ func TestCubeSumOverflowAnswers500(t *testing.T) {
 }
 
 // TestRestoreRejectsMalformedCells: a forged backup cannot smuggle a
-// malformed cube cell past the gate — cells where applyState will have
-// built no grid (beyond the sensor series, or beside a phase without
-// samples), a negative count, a non-finite aggregate — all refused with
-// the generic bad_request code, never silently dropped by applyState.
+// malformed cube cell past the gate — a cell beyond the sensor columns,
+// beside a column without samples, with a negative count or a
+// non-finite aggregate — all refused with the generic bad_request code,
+// never silently dropped by the decoder.
 // A cell carries no coordinate of its own: its machine, job, phase and
 // sensor are where it sits, vetted with the store
 // (TestRestoreValidatesJobVectors).

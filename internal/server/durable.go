@@ -2,12 +2,12 @@ package server
 
 import (
 	"bytes"
-	"cmp"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"math"
 	"net/url"
 	"os"
@@ -30,20 +30,23 @@ import (
 // restarts. Every accepted shard chunk is appended to a per-shard
 // segmented WAL (internal/wal) before it is enqueued, and a background
 // loop periodically snapshots the whole serving state of a plant —
-// the stores (samples, roll-up leaves, trackers, cube cells), the alert
-// ring, the counters — compacting WAL segments the snapshot covers. On
-// startup the state is rebuilt by applying the snapshot and replaying
-// the WAL tail through the regular fold path; the idempotent
-// set-at-index store makes over-replay harmless, so the recovery
-// boundary only has to be conservative.
+// the stores (the sample blocks, roll-up leaves, trackers, cube
+// cells), the alert ring, the counters — compacting WAL segments the
+// snapshot covers. On startup the state is rebuilt by decoding the
+// snapshot into a fresh plant and replaying the WAL tail through the
+// regular fold path; the idempotent set-at-index store makes
+// over-replay harmless, so the recovery boundary only has to be
+// conservative. A backup is the same snapshot, and a restore or a
+// standby seed decodes it the same way.
 //
 // Both durable forms are interned state next to the dictionaries that
 // define its ids. A WAL frame carries its own (machines, phases,
 // sensors, jobs) dictionaries and resolves against whatever plant
-// replays it; a snapshot carries the topology and the job table and is
-// only ever applied to a plant built from that same topology, so its
-// positions index the store directly — it mirrors the store, machine by
-// machine, and holds nothing per shard but the WAL positions.
+// replays it; a snapshot carries the topology and the job table, and
+// one decoder builds the plant from that topology and reads the stores
+// into it, position by position — it mirrors the store, machine by
+// machine, block by block, and holds nothing per shard but the WAL
+// positions.
 
 // A WAL payload is one tagged entry: a shard chunk of admitted records
 // as a wire.Frame (without its length prefix — the WAL already frames
@@ -81,9 +84,10 @@ func decodeWalEntry(p []byte) (*wire.Frame, []JobMeta, error) {
 
 // The admit path re-encodes each chunk into a frame without touching
 // the JSON machinery; its scratch encode buffers and frames are pooled
-// so a steady ingest load allocates per batch, not per byte. wal.Log.AppendBuffered copies the payload synchronously,
-// which is what makes returning the buffer to the pool right after the
-// append safe.
+// so a steady ingest load allocates per batch, not per byte.
+// wal.Log.AppendBuffered copies the payload synchronously, which is
+// what makes returning the buffer to the pool right after the append
+// safe.
 var (
 	walBufPool = sync.Pool{New: func() any {
 		b := make([]byte, 0, 4096)
@@ -141,109 +145,338 @@ func (ps *plantState) appendRefFrame(dst []byte, f *wire.Frame, refs []recordRef
 	return out[:len(out)-4], nil
 }
 
-// Snapshot payload: the full serving state of one plant, captured at a
-// shard batch boundary, in the shape the store holds it. Topo (in
-// registration order) and JobInterns are the dictionaries; every other
-// identifier is a position in an id-indexed slice, and every such slice
-// may stop short of its dictionary. Nothing in it is per shard except
-// ShardSeqs, which pins the WAL position the capture covers per shard —
-// replay starts after it, compaction ends at it.
-type (
-	snapCell struct { // one cube cell; Count 0 where no fact landed
-		Count         int
-		Sum, Min, Max float64
-	}
-	snapJob struct {
-		Job             int32 // index into JobInterns
-		Setup, CAQ      []float64
-		Faulty, HasMeta bool
-		Phases          [][][]float64 // phase id → sensor id → samples; an untouched phase is empty
-		Cells           [][]snapCell  // phase id → sensor id → cube cell; only phases holding samples have any
-	}
-	snapMachine struct {
-		Jobs     []snapJob           // ascending Job
-		Leaves   []stats.OnlineState // phase id*len(Topo.Sensors) + sensor id
-		Trackers []stats.EWMAState   // sensor id
-	}
-	snapState struct {
-		Topo       wire.Topology
-		JobInterns []string // job id → name
-
-		Machines []snapMachine // by machine id
-		Env      [][]float64   // environment sensor id → samples
-
-		DataRev, Accepted, Received, Rejected, Shed uint64
-
-		Alerts   []wire.Alert // oldest first
-		AlertSeq uint64       // plant-wide alert sequence high-water mark
-
-		ShardSeqs   []uint64
-		SnapshotRev uint64
-	}
-)
-
-func cmpJob(a, b snapJob) int { return cmp.Compare(a.Job, b.Job) }
-
-// snapFormat leads every snapshot payload; the gob of snapState follows.
-// A payload with any other first byte — format 1 held leaves, trackers
-// and cube cells in keyed lists snapState has no field for; the untagged
-// gob before it starts with gob's own length prefix — is refused with
-// errSnapFormat instead of decoding into a plant that silently lacks
-// them. Earlier format-2 writers also stored per-machine and
-// environment revision counters; gob skips stream fields snapState
-// lacks, and nothing read them but the report path, so those payloads
-// load unchanged.
-const snapFormat = 2
+// A snapshot payload is one plant's serving state as the store holds
+// it: the topology and the job table are its dictionaries, every other
+// id is a position, and the topology fixes how many machines, leaves,
+// trackers, phases, sensors and environment sensors follow, so no
+// count of them is written. Little-endian; a str is a u32 length and
+// its bytes, a flag a u8 0 or 1:
+//
+//	u8    format (3)
+//	str   topology, the bytes meta.json holds (topoJSON)
+//	u32   job count, then each name (str); a job id is its position
+//	5×u64 data revision, accepted, received, rejected, shed
+//	u32   shard count (0 in a backup), then each folded WAL position (u64)
+//	per machine in topology order:
+//	      per leaf (phase × sensor) u64 n, 4×f64 mean, m2, min, max
+//	      per tracker (sensor) 3×f64 alpha, mean, variance, flag started
+//	      u32 job count, per job by id: u32 id, flags faulty and has
+//	      metadata, u32 count and f64s of setup, then of caq, then per
+//	      phase a flag set when it holds samples, and then per sensor a
+//	      column and its cube cell (u64 count and, unless 0, 3×f64 sum,
+//	      min, max)
+//	per environment sensor, a column
+//	u64   alert sequence high-water mark; u32 alert count, per alert
+//	      oldest first u64 seq, 3×str machine, phase, sensor, u64 t, 2×f64
+//
+// A column is u32 n (highest t + 1), u32 block count, then each block a
+// sample landed in, ascending: u32 block number, 16×f64.
+const snapFormat = 3
 
 var (
+	// errSnapFormat refuses formats 0–2 (gob payloads) by the first byte.
 	errSnapFormat = errors.New("unsupported snapshot format")
-	// errJobVector marks the validateState failures handleJobs would
-	// have answered with the vector_dims code.
+	// errJobVector marks the refusals handleJobs answers with vector_dims.
 	errJobVector = errors.New("job vector")
 )
 
-func encodeState(st *snapState) ([]byte, error) {
-	buf := bytes.NewBuffer([]byte{snapFormat})
-	if err := gob.NewEncoder(buf).Encode(st); err != nil {
-		return nil, err
+func appendU32(b []byte, v int) []byte       { return binary.LittleEndian.AppendUint32(b, uint32(v)) }
+func appendStr(b []byte, s string) []byte    { return append(appendU32(b, len(s)), s...) }
+func appendVec(b []byte, v []float64) []byte { return appendF64(appendU32(b, len(v)), v...) }
+
+func appendU64(b []byte, vs ...uint64) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, v)
 	}
-	return buf.Bytes(), nil
+	return b
 }
 
-// decodeState decodes a snapshot payload and vets it, so a state it
-// returns is safe to applyState — whether it came from the data dir, a
-// restore body or a cluster peer.
-func decodeState(p []byte) (*snapState, error) {
-	if len(p) == 0 || p[0] != snapFormat {
-		return nil, fmt.Errorf("%w: want format %d; snapshots and backups of earlier versions cannot be read, re-ingest the plant", errSnapFormat, snapFormat)
+func appendF64(b []byte, vs ...float64) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	var st snapState
-	if err := gob.NewDecoder(bytes.NewReader(p[1:])).Decode(&st); err != nil {
-		return nil, err
-	}
-	// Every snapshot this server writes holds a registered topology:
-	// decoded from JSON, defaults filled in. A hand-made one gets the
-	// same treatment — through the encoding meta.json stores, which
-	// rewrites a name that is not valid UTF-8 — so the ids below are
-	// vetted against the topology the plant is rebuilt and reloaded with.
-	var topo Topology
-	if err := json.Unmarshal(topoJSON(st.Topo), &topo); err != nil {
-		return nil, err
-	}
-	st.Topo = topoWithDefaults(topo)
-	if err := validateState(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return b
 }
 
-func strictlyAscending[T any](s []T, cmp func(a, b T) int) bool {
-	for i := 1; i < len(s); i++ {
-		if cmp(s[i-1], s[i]) >= 0 {
-			return false
+func bit(set bool) byte {
+	if set {
+		return 1
+	}
+	return 0
+}
+
+// encodeState captures the plant as a snapshot payload, every shard
+// worker stopped at a batch boundary and each store locked while it is
+// written: the consistent cut snapshot + WAL-tail replay needs. With
+// positions it also writes, and returns, each shard's folded WAL
+// position. The jobs, the one map, go by id, so equal states encode
+// equally.
+func (ps *plantState) encodeState(positions bool) (payload []byte, seqs []uint64) {
+	for _, sh := range ps.shards {
+		sh.foldMu.Lock()
+		defer sh.foldMu.Unlock()
+		if positions {
+			seqs = append(seqs, sh.foldedSeq.Load())
 		}
 	}
-	return true
+	b := appendStr(append(make([]byte, 0, 1<<12), snapFormat), string(topoJSON(ps.topo)))
+	jobs := ps.in.jobs.Names()
+	b = appendU32(b, len(jobs))
+	for _, name := range jobs {
+		b = appendStr(b, name)
+	}
+	b = appendU64(b, ps.dataRev.Load(), ps.accepted.Load(), ps.received.Load(), ps.rejected.Load(), ps.shed.Load())
+	b = appendU64(appendU32(b, len(seqs)), seqs...)
+	for _, ms := range ps.mstores {
+		b = ms.appendTo(b)
+	}
+	ps.env.mu.Lock()
+	for i := range ps.env.cols {
+		b = ps.env.cols[i].appendTo(b, &ps.env.slab)
+	}
+	ps.env.mu.Unlock()
+	ps.alertMu.Lock()
+	b = appendU64(b, ps.alertSeq)
+	ps.alertMu.Unlock()
+	alerts := ps.recentAlerts(0)
+	b = appendU32(b, len(alerts))
+	for _, a := range alerts {
+		b = appendStr(appendStr(appendStr(appendU64(b, a.Seq), a.Machine), a.Phase), a.Sensor)
+		b = appendF64(appendU64(b, uint64(a.T)), a.Value, a.Score)
+	}
+	return b, seqs
+}
+
+// appendTo writes one machine's section, growing b once for the blocks
+// and cells that dominate it.
+func (ms *machineStore) appendTo(b []byte) []byte {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	b = slices.Grow(b, int(ms.slab.n)*blockBytes+len(ms.jobsByID)*len(ms.leaves)*48)
+	for i := range ms.leaves {
+		st := ms.leaves[i].State()
+		b = appendF64(appendU64(b, uint64(st.N)), st.Mean, st.M2, st.Min, st.Max)
+	}
+	for i := range ms.trackers {
+		st := ms.trackers[i].State()
+		b = append(appendF64(b, st.Alpha, st.Mean, st.Variance), bit(st.Started))
+	}
+	ids := slices.Sorted(maps.Keys(ms.jobsByID))
+	b = appendU32(b, len(ids))
+	for _, id := range ids {
+		js := ms.jobsByID[id]
+		b = append(appendU32(b, int(id)), bit(js.faulty), bit(js.hasMeta))
+		b = appendVec(appendVec(b, js.setup), js.caq)
+		for _, g := range js.phases {
+			b = append(b, bit(g != nil))
+			if g == nil {
+				continue
+			}
+			for s, c := range g.cells {
+				b = appendU64(g.cols[s].appendTo(b, &ms.slab), uint64(c.Count))
+				if c.Count > 0 {
+					b = appendF64(b, c.Sum, c.Min, c.Max)
+				}
+			}
+		}
+	}
+	return b
+}
+
+// snapDecoder reads a snapshot payload front to back. A refusal panics
+// with a snapError naming the byte, which decodeState recovers.
+type snapDecoder struct {
+	p    []byte
+	size int // of the whole payload
+}
+
+type snapError struct{ error }
+
+func (d *snapDecoder) fail(format string, args ...any) {
+	panic(snapError{fmt.Errorf("snapshot byte %d: %w", d.size-len(d.p), fmt.Errorf(format, args...))})
+}
+
+func (d *snapDecoder) take(n int) []byte {
+	if n > len(d.p) {
+		d.fail("truncated: %d bytes wanted, %d left", n, len(d.p))
+	}
+	b := d.p[:n:n]
+	d.p = d.p[n:]
+	return b
+}
+
+func (d *snapDecoder) u32() uint32  { return binary.LittleEndian.Uint32(d.take(4)) }
+func (d *snapDecoder) u64() uint64  { return binary.LittleEndian.Uint64(d.take(8)) }
+func (d *snapDecoder) f64() float64 { return math.Float64frombits(d.u64()) }
+func (d *snapDecoder) str() string  { return string(d.take(int(d.u32()))) }
+
+func (d *snapDecoder) flag() bool {
+	if f := d.take(1)[0]; f <= 1 {
+		return f == 1
+	}
+	d.fail("flag byte above 1")
+	return false
+}
+
+// count reads a u32 count of items of at least size bytes each, refused
+// above limit or beyond what the input left can hold.
+func (d *snapDecoder) count(limit, size int, what string) int {
+	if n := d.u32(); uint64(n) <= uint64(limit) && int(n) <= len(d.p)/size {
+		return int(n)
+	}
+	d.fail("%s: more than %d, or than %d bytes left can hold", what, limit, len(d.p))
+	return 0
+}
+
+// The least bytes a leaf, a tracker, a job before its phase flags and
+// an alert take.
+const minLeaf, minTracker, minJob, minAlert = 8 + 4*8, 3*8 + 1, 4 + 2 + 3*4, 8 + 3*4 + 3*8
+
+// decodeState reads a snapshot payload into a fresh plant (no shards
+// yet) and returns the WAL positions it holds. It is the validator: it
+// checks each count against the topology and the input left before
+// allocating by it, refuses ids outside their dictionary and what live
+// paths never store (errJobVector for job vectors), and accepts only
+// the bytes encodeState writes for what it read: the plant captures
+// back to p.
+func decodeState(p []byte) (ps *plantState, seqs []uint64, err error) {
+	if len(p) == 0 || p[0] != snapFormat {
+		return nil, nil, fmt.Errorf("%w: want format %d; snapshots and backups of earlier versions cannot be read, re-ingest the plant", errSnapFormat, snapFormat)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			se, ok := r.(snapError)
+			if !ok {
+				panic(r)
+			}
+			ps, seqs, err = nil, nil, se.error
+		}
+	}()
+	d := &snapDecoder{p: p[1:], size: len(p)}
+	// The topology is what registration stores — JSON decoded, defaults
+	// filled in, valid — in the bytes meta.json holds.
+	raw := d.take(int(d.u32()))
+	var topo Topology
+	if err := json.Unmarshal(raw, &topo); err != nil {
+		d.fail("topology: %w", err)
+	}
+	topo = topoWithDefaults(topo)
+	if err := topo.Validate(); err != nil {
+		d.fail("%w", err)
+	}
+	if !bytes.Equal(raw, topoJSON(topo)) {
+		d.fail("topology not in the form registration stores")
+	}
+	// Each machine holds a leaf per (phase, sensor) and a tracker per
+	// sensor, each environment sensor a column: the input must hold
+	// them before newPlantState allocates them.
+	nm, np, ns := 0, len(topo.Phases), len(topo.Sensors)
+	for _, l := range topo.Lines {
+		nm += len(l.Machines)
+	}
+	if np > len(d.p)/minLeaf || ns > len(d.p)/(np*minLeaf) ||
+		nm > len(d.p)/(np*ns*minLeaf+ns*minTracker+4) || len(topo.EnvSensors) > len(d.p)/8 {
+		d.fail("a topology of %d machines × %d phases × %d sensors in %d bytes", nm, np, ns, len(d.p))
+	}
+	ps = newPlantState(topo)
+	names := make([]string, d.count(math.MaxUint32, 4, "job names"))
+	for i := range names {
+		names[i] = d.str()
+		if err := checkJobName(names[i]); err != nil {
+			d.fail("job name %q: %w", names[i], err)
+		}
+	}
+	if ps.in.jobs = intern.NewDyn(names); ps.in.jobs.Len() != len(names) {
+		d.fail("a job name is interned twice")
+	}
+	for _, c := range []*atomic.Uint64{&ps.dataRev, &ps.accepted, &ps.received, &ps.rejected, &ps.shed} {
+		c.Store(d.u64())
+	}
+	seqs = make([]uint64, d.count(math.MaxUint32, 8, "shard positions"))
+	for i := range seqs {
+		seqs[i] = d.u64()
+	}
+	for _, ms := range ps.mstores {
+		d.machine(ms, len(names), &topo)
+	}
+	for i := range ps.env.cols {
+		d.column(&ps.env.cols[i], &ps.env.slab)
+	}
+	ps.alertSeq = d.u64()
+	ps.alerts = make([]Alert, d.count(alertRingCap, minAlert, "alerts"))
+	for i := range ps.alerts {
+		a := &ps.alerts[i]
+		a.Seq, a.Machine, a.Phase, a.Sensor = d.u64(), d.str(), d.str(), d.str()
+		a.T, a.Value, a.Score = int(d.u64()), d.f64(), d.f64()
+		if a.Seq > ps.alertSeq {
+			d.fail("alert sequence %d above the high-water mark %d", a.Seq, ps.alertSeq)
+		}
+	}
+	if len(d.p) > 0 {
+		d.fail("%d trailing bytes", len(d.p))
+	}
+	return ps, seqs, nil
+}
+
+// machine reads one machine's section into its fresh store.
+func (d *snapDecoder) machine(ms *machineStore, nJobs int, topo *Topology) {
+	for i := range ms.leaves {
+		ms.leaves[i] = stats.OnlineFromState(stats.OnlineState{N: int(d.u64()), Mean: d.f64(), M2: d.f64(), Min: d.f64(), Max: d.f64()})
+	}
+	for i := range ms.trackers {
+		ms.trackers[i] = *stats.EWMAFromState(stats.EWMAState{Alpha: d.f64(), Mean: d.f64(), Variance: d.f64(), Started: d.flag()})
+	}
+	n := d.count(nJobs, minJob+ms.nPhases, "jobs")
+	ms.jobsByID = make(map[int32]*jobStore, n)
+	for prev := int64(-1); n > 0; n-- {
+		id := int64(d.u32())
+		if id <= prev || id >= int64(nJobs) {
+			d.fail("job id %d outside the job table (%d) or not ascending", id, nJobs)
+		}
+		prev = id
+		d.job(ms, int32(id), topo)
+	}
+}
+
+// job reads one job into its machine's fresh store.
+func (d *snapDecoder) job(ms *machineStore, id int32, topo *Topology) {
+	js := ms.job(id)
+	js.faulty, js.hasMeta = d.flag(), d.flag()
+	js.setup, js.caq = d.vector(topo.SetupDims, "setup"), d.vector(topo.CAQDims, "caq")
+	for ph := range int32(ms.nPhases) {
+		if !d.flag() {
+			continue
+		}
+		// The grid is made before its columns are read: it costs a
+		// constant factor of a machine's leaves, which the input held.
+		g := ms.grid(js, ph)
+		for s := range g.cols {
+			d.column(&g.cols[s], &ms.slab)
+			if count := d.u64(); count > 0 {
+				c := olap.IntCell{Coord: olap.IntCoord{ms.line, ms.id, id, ph, int32(s)}, Count: int(count), Sum: d.f64(), Min: d.f64(), Max: d.f64()}
+				if count > math.MaxInt64 || g.cols[s].n == 0 || !finite(c.Sum, c.Min, c.Max) {
+					d.fail("cube cell of count %d beside %d samples, or not finite", count, g.cols[s].n)
+				}
+				g.cells[s] = c
+				ms.nCells++
+			}
+		}
+	}
+}
+
+// vector reads a job vector of at most dims finite values.
+func (d *snapDecoder) vector(dims int, what string) []float64 {
+	n := int(d.u32())
+	if n > dims {
+		d.fail("%w: %s of %d values, the topology dims are %d", errJobVector, what, n, dims)
+	}
+	raw, v := d.take(8*n), make([]float64, n)
+	for i := range v {
+		if v[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:])); !finite(v[i]) {
+			d.fail("%w: non-finite %s value", errJobVector, what)
+		}
+	}
+	return v
 }
 
 func finite(vs ...float64) bool {
@@ -253,101 +486,6 @@ func finite(vs ...float64) bool {
 		}
 	}
 	return true
-}
-
-// validateState holds a decoded snapshot to what the live paths
-// guarantee of the state they build, so applyState can index with its
-// positions without a failure branch: a valid topology; unique,
-// well-formed job names; every id inside its dictionary and every
-// id-indexed slice no longer than it; job vectors within the topology
-// dims and finite (the handleJobs gate — padVector would silently
-// truncate an oversized one, a non-finite one would poison the level-2
-// detectors); cube cells only beside samples, with a count that is not
-// negative and finite aggregates (the olap.IntCell invariant); jobs
-// strictly ascending, which is also what makes them unique.
-func validateState(st *snapState) error {
-	topo := st.Topo
-	if err := topo.Validate(); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	var machines []string
-	for _, l := range topo.Lines {
-		machines = append(machines, l.Machines...)
-	}
-	nMachines, nJobs, nPhases, nSensors := len(machines), len(st.JobInterns), len(topo.Phases), len(topo.Sensors)
-
-	for _, name := range st.JobInterns {
-		switch err := checkJobName(name); {
-		case err == errMissingJob:
-			return fmt.Errorf("snapshot: empty job id")
-		case err != nil:
-			return fmt.Errorf("snapshot: %w", err)
-		}
-	}
-	// applyState rebuilds the job table from this list; a repeated name
-	// would keep its first id and shift every id after it.
-	if intern.NewDyn(st.JobInterns).Len() != nJobs {
-		return fmt.Errorf("snapshot: a job name is interned twice")
-	}
-
-	if len(st.Machines) > nMachines || len(st.Env) > len(topo.EnvSensors) {
-		return fmt.Errorf("snapshot: %d machine stores and %d environment series for a topology of %d and %d",
-			len(st.Machines), len(st.Env), nMachines, len(topo.EnvSensors))
-	}
-	for mid, sm := range st.Machines {
-		if len(sm.Leaves) > nPhases*nSensors || len(sm.Trackers) > nSensors {
-			return fmt.Errorf("snapshot: machine %s: %d roll-up leaves and %d trackers, topology has room for %d and %d",
-				machines[mid], len(sm.Leaves), len(sm.Trackers), nPhases*nSensors, nSensors)
-		}
-		if !strictlyAscending(sm.Jobs, cmpJob) {
-			return fmt.Errorf("snapshot: machine %s: jobs not in ascending id order", machines[mid])
-		}
-		for _, sj := range sm.Jobs {
-			if sj.Job < 0 || int(sj.Job) >= nJobs {
-				return fmt.Errorf("snapshot: machine %s: job id %d outside the job table (%d)", machines[mid], sj.Job, nJobs)
-			}
-			job := st.JobInterns[sj.Job]
-			if len(sj.Setup) > topo.SetupDims || len(sj.CAQ) > topo.CAQDims {
-				return fmt.Errorf("snapshot: machine %s job %s: %w: setup/caq longer than the topology dims (%d/%d)",
-					machines[mid], job, errJobVector, topo.SetupDims, topo.CAQDims)
-			}
-			if !finite(sj.Setup...) || !finite(sj.CAQ...) {
-				return fmt.Errorf("snapshot: machine %s job %s: %w: non-finite setup/caq value", machines[mid], job, errJobVector)
-			}
-			if len(sj.Phases) > nPhases {
-				return fmt.Errorf("snapshot: machine %s job %s: %d phases, topology has %d", machines[mid], job, len(sj.Phases), nPhases)
-			}
-			for _, series := range sj.Phases {
-				if len(series) > nSensors {
-					return fmt.Errorf("snapshot: machine %s job %s: %d sensor series, topology has %d", machines[mid], job, len(series), nSensors)
-				}
-			}
-			if len(sj.Cells) > len(sj.Phases) {
-				return fmt.Errorf("snapshot: machine %s job %s: cube cells for %d phases, samples for %d", machines[mid], job, len(sj.Cells), len(sj.Phases))
-			}
-			for ph, cells := range sj.Cells {
-				if len(cells) > len(sj.Phases[ph]) {
-					return fmt.Errorf("snapshot: machine %s job %s phase %s: %d cube cells beside %d sensor series",
-						machines[mid], job, topo.Phases[ph], len(cells), len(sj.Phases[ph]))
-				}
-				for _, c := range cells {
-					if c.Count < 0 || !finite(c.Sum, c.Min, c.Max) {
-						return fmt.Errorf("snapshot: machine %s job %s phase %s: negative or non-finite cube cell", machines[mid], job, topo.Phases[ph])
-					}
-				}
-			}
-		}
-	}
-
-	if len(st.Alerts) > alertRingCap {
-		return fmt.Errorf("snapshot: %d alerts, the ring holds %d", len(st.Alerts), alertRingCap)
-	}
-	for _, a := range st.Alerts {
-		if a.Seq > st.AlertSeq {
-			return fmt.Errorf("snapshot: alert sequence %d above the high-water mark %d", a.Seq, st.AlertSeq)
-		}
-	}
-	return nil
 }
 
 // plantDur is one plant's durability attachment: its directory, the
@@ -384,11 +522,13 @@ func (d *plantDur) segments() int {
 const (
 	plantMetaName = "meta.json"
 	walDirPrefix  = "wal-shard-"
-
-	// maxRestoreBytes is the floor of the restore body cap — a backup
-	// carries a whole plant, not one ingest batch.
-	maxRestoreBytes = 1 << 30
 )
+
+// restoreCap caps a backup body, on POST /restore and a standby seed
+// alike (through http.MaxBytesReader, which refuses a longer body as
+// too large). A backup carries a whole plant, not one ingest batch: the
+// cap is never below 1 GiB, nor below MaxBodyBytes.
+func (s *Server) restoreCap() int64 { return max(s.opts.MaxBodyBytes, 1<<30) }
 
 func walDirName(i int) string { return fmt.Sprintf("%s%03d", walDirPrefix, i) }
 
@@ -528,133 +668,6 @@ func (ps *plantState) appendJobs(metas []JobMeta) error {
 	return err
 }
 
-// captureState stops every shard worker at a batch boundary and deep-
-// copies the full serving state — the consistent cut that makes
-// snapshot + WAL-tail replay reproduce exactly what an uninterrupted
-// run holds. Two captures of the same state are equal, element for
-// element: everything is copied out in position order except the jobs,
-// the one map, which are sorted by id.
-func (ps *plantState) captureState() *snapState {
-	for _, sh := range ps.shards {
-		sh.foldMu.Lock()
-	}
-	defer func() {
-		for _, sh := range ps.shards {
-			sh.foldMu.Unlock()
-		}
-	}()
-
-	st := &snapState{
-		Topo:       ps.topo,
-		JobInterns: ps.in.jobs.Names(),
-		Machines:   make([]snapMachine, len(ps.mstores)),
-		DataRev:    ps.dataRev.Load(),
-		Accepted:   ps.accepted.Load(),
-		Received:   ps.received.Load(),
-		Rejected:   ps.rejected.Load(),
-		Shed:       ps.shed.Load(),
-		ShardSeqs:  make([]uint64, len(ps.shards)),
-	}
-	for i, sh := range ps.shards {
-		st.ShardSeqs[i] = sh.foldedSeq.Load()
-	}
-	for mid, ms := range ps.mstores {
-		ms.mu.Lock()
-		sm := snapMachine{
-			Jobs:   make([]snapJob, 0, len(ms.jobsByID)),
-			Leaves: make([]stats.OnlineState, len(ms.leaves)), Trackers: make([]stats.EWMAState, len(ms.trackers)),
-		}
-		for i := range ms.leaves {
-			sm.Leaves[i] = ms.leaves[i].State()
-		}
-		for i := range ms.trackers {
-			sm.Trackers[i] = ms.trackers[i].State()
-		}
-		for jid, js := range ms.jobsByID {
-			sj := snapJob{
-				Job: jid, Setup: slices.Clone(js.setup), CAQ: slices.Clone(js.caq),
-				Faulty: js.faulty, HasMeta: js.hasMeta,
-				Phases: make([][][]float64, len(js.phases)), Cells: make([][]snapCell, len(js.phases)),
-			}
-			for ph, g := range js.phases {
-				if g == nil {
-					continue
-				}
-				sj.Phases[ph] = flatSeries(&ms.slab, g.cols)
-				sj.Cells[ph] = make([]snapCell, len(g.cells))
-				for s, c := range g.cells {
-					sj.Cells[ph][s] = snapCell{Count: c.Count, Sum: c.Sum, Min: c.Min, Max: c.Max}
-				}
-			}
-			sm.Jobs = append(sm.Jobs, sj)
-		}
-		ms.mu.Unlock()
-		slices.SortFunc(sm.Jobs, cmpJob)
-		st.Machines[mid] = sm
-	}
-	ps.env.mu.Lock()
-	st.Env = flatSeries(&ps.env.slab, ps.env.cols)
-	ps.env.mu.Unlock()
-	st.Alerts = ps.recentAlerts(0)
-	ps.alertMu.Lock()
-	st.AlertSeq = ps.alertSeq
-	ps.alertMu.Unlock()
-	return st
-}
-
-// applyState loads a state decodeState vetted (or captureState just
-// produced) into a quiescent plantState built from the same topology:
-// shards made, workers not yet spawned. Positions index the stores
-// directly, and nothing is routed by machine — no shard holds data, so
-// a restart with a different shard count loads the same way.
-func (ps *plantState) applyState(st *snapState) {
-	ps.in.jobs = intern.NewDyn(st.JobInterns)
-	for mid, sm := range st.Machines {
-		ms := ps.mstores[mid]
-		for i, lf := range sm.Leaves {
-			ms.leaves[i] = stats.OnlineFromState(lf)
-		}
-		for i, tk := range sm.Trackers {
-			ms.trackers[i] = *stats.EWMAFromState(tk)
-		}
-		for _, sj := range sm.Jobs {
-			js := ms.job(sj.Job)
-			js.setup, js.caq = slices.Clone(sj.Setup), slices.Clone(sj.CAQ)
-			js.faulty, js.hasMeta = sj.Faulty, sj.HasMeta
-			for ph, series := range sj.Phases {
-				if len(series) > 0 {
-					g := ms.grid(js, int32(ph))
-					for s, vals := range series {
-						g.cols[s].load(&ms.slab, vals)
-					}
-				}
-			}
-			for ph, cells := range sj.Cells {
-				for s, c := range cells {
-					if c.Count > 0 { // validateState: a phase with cells has samples, so its grid exists
-						js.phases[ph].cells[s] = olap.IntCell{
-							Coord: olap.IntCoord{ms.line, ms.id, sj.Job, int32(ph), int32(s)},
-							Count: c.Count, Sum: c.Sum, Min: c.Min, Max: c.Max,
-						}
-						ms.nCells++
-					}
-				}
-			}
-		}
-	}
-	for id, vals := range st.Env {
-		ps.env.cols[id].load(&ps.env.slab, vals)
-	}
-	ps.dataRev.Store(st.DataRev)
-	ps.accepted.Store(st.Accepted)
-	ps.received.Store(st.Received)
-	ps.rejected.Store(st.Rejected)
-	ps.shed.Store(st.Shed)
-	ps.alerts = slices.Clone(st.Alerts)
-	ps.alertHead = 0
-	ps.alertSeq = st.AlertSeq
-}
-
 // writeSnapshot captures, persists, and compacts: the snapshot file is
 // replaced atomically, then every WAL segment it fully covers is
 // deleted.
@@ -665,54 +678,27 @@ func (ps *plantState) writeSnapshot() error {
 	}
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()
-	st := ps.captureState()
+	payload, seqs := ps.encodeState(true)
 	rev := d.snapRev.Load() + 1
-	st.SnapshotRev = rev
-	payload, err := encodeState(st)
-	if err != nil {
-		return err
-	}
 	if err := wal.SaveSnapshot(d.dir, rev, payload); err != nil {
 		return err
 	}
 	d.snapRev.Store(rev)
 	var firstErr error
 	for i, l := range d.logs {
-		if i >= len(st.ShardSeqs) {
-			break
-		}
-		if err := l.CompactThrough(st.ShardSeqs[i]); err != nil && firstErr == nil {
+		if err := l.CompactThrough(seqs[i]); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// recover rebuilds the serving state from snapshot + WAL tail, replays
-// through the regular fold path, then re-baselines: a fresh snapshot
-// is written and fully covered segments are compacted away, so the
-// next restart starts from a short tail.
-func (ps *plantState) recover() error {
+// recover replays the WAL tail after shardSeqs, the positions of the
+// snapshot loadPlant decoded, through the regular fold path, then
+// re-baselines: a fresh snapshot is written and fully covered segments
+// are compacted away, so the next restart starts from a short tail.
+func (ps *plantState) recover(shardSeqs []uint64) error {
 	d := ps.dur
-	rev, payload, err := wal.LoadSnapshot(d.dir)
-	if err != nil {
-		return err
-	}
-	var shardSeqs []uint64
-	if payload != nil {
-		st, err := decodeState(payload)
-		if err != nil {
-			return err
-		}
-		// Snapshot ids index the plant loadPlant built from meta.json;
-		// both files were written from one topology, so they encode alike.
-		if !bytes.Equal(topoJSON(st.Topo), topoJSON(ps.topo)) {
-			return fmt.Errorf("%s was written for a different topology than %s", wal.SnapshotName, plantMetaName)
-		}
-		ps.applyState(st)
-		d.snapRev.Store(rev)
-		shardSeqs = st.ShardSeqs
-	}
 	// If the shard count changed since the snapshot, the per-shard
 	// boundaries no longer line up — replay everything; over-replay is
 	// idempotent.
@@ -902,28 +888,21 @@ var (
 	errPlantExists  = errors.New("already registered")
 )
 
-// installState registers a plant rebuilt from a state decodeState
-// returned — the one path behind POST /restore and standby seeding.
-// With a data dir the state is also saved as the plant's baseline
-// snapshot at rev before the plant becomes visible: the fresh WALs are
-// empty, so a restart has nothing else to recover from.
-func (s *Server) installState(st *snapState, rev uint64) error {
-	id := st.Topo.ID
-	st.ShardSeqs = nil // positions in the source server's WALs, not the fresh local ones
-	st.SnapshotRev = rev
-	ps := newPlantState(st.Topo)
+// installState registers a plant decodeState returned — the one path
+// behind POST /restore and standby seeding. With a data dir the plant
+// is also saved as its baseline snapshot at rev, with its own (empty)
+// WAL positions, before it becomes visible: a restart has nothing else
+// to recover from.
+func (s *Server) installState(ps *plantState, rev uint64) error {
+	id := ps.topo.ID
 	ps.makeShards(s.opts.Shards, s.opts.QueueDepth)
 	ps.alertThreshold = s.opts.AlertThreshold
 	ps.publish = s.hub.Publish
-	ps.applyState(st)
-	// Encoded before the registry lock so the gob pass doesn't stall
-	// unrelated requests.
+	// Encoded before the registry lock so the pass over the stores
+	// doesn't stall unrelated requests.
 	var baseline []byte
 	if s.opts.DataDir != "" {
-		var err error
-		if baseline, err = encodeState(st); err != nil {
-			return fmt.Errorf("encoding snapshot: %w", err)
-		}
+		baseline, _ = ps.encodeState(true)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -935,7 +914,7 @@ func (s *Server) installState(st *snapState, rev uint64) error {
 	}
 	if s.opts.DataDir != "" {
 		//hod:allow(lockorder) install atomicity: the exists-check, plant-dir creation and baseline snapshot must be one critical section or a concurrent register of the same ID could interleave
-		cleanup, err := s.persistNewPlant(ps, st.Topo)
+		cleanup, err := s.persistNewPlant(ps, ps.topo)
 		if err != nil {
 			return fmt.Errorf("persisting plant: %w", err)
 		}
@@ -970,13 +949,28 @@ func (s *Server) loadPlant(dirName string) error {
 	if err != nil {
 		return err
 	}
+	rev, payload, err := wal.LoadSnapshot(dir)
+	if err != nil {
+		return err
+	}
 	ps := newPlantState(topo)
+	var shardSeqs []uint64
+	if payload != nil {
+		if ps, shardSeqs, err = decodeState(payload); err != nil {
+			return err
+		}
+		// meta.json is written from the snapshot's topology: they encode alike.
+		if !bytes.Equal(topoJSON(ps.topo), topoJSON(topo)) {
+			return fmt.Errorf("%s was written for a different topology than %s", wal.SnapshotName, plantMetaName)
+		}
+	}
 	ps.makeShards(s.opts.Shards, s.opts.QueueDepth)
 	ps.alertThreshold = s.opts.AlertThreshold
 	if err := ps.attachDur(dir, wopts); err != nil {
 		return err
 	}
-	if err := ps.recover(); err != nil {
+	ps.dur.snapRev.Store(rev)
+	if err := ps.recover(shardSeqs); err != nil {
 		ps.dur.close()
 		return err
 	}

@@ -543,25 +543,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, ps *plantSt
 // framed format the durability layer persists, so a backup taken from
 // a diskless server can still seed a restore elsewhere.
 func (s *Server) handleBackup(w http.ResponseWriter, r *http.Request, ps *plantState) {
-	st := ps.captureState()
+	var rev uint64
 	if ps.dur != nil {
-		st.SnapshotRev = ps.dur.snapRev.Load()
+		rev = ps.dur.snapRev.Load()
 	}
 	// A backup re-seeds fresh WALs on restore; per-shard positions of
 	// *this* server's logs would be poison there. The one consumer that
 	// wants them — a standby seeding itself before tailing this node's
 	// WAL — asks with ?positions=1 on the internal cluster path.
-	if !(r.URL.Query().Get("positions") == "1" && r.Header.Get(cluster.InternalHeader) == "1") {
-		st.ShardSeqs = nil
-	}
-	payload, err := encodeState(st)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, wire.CodeInternal, "encoding snapshot: "+err.Error())
-		return
-	}
+	payload, _ := ps.encodeState(r.URL.Query().Get("positions") == "1" && r.Header.Get(cluster.InternalHeader) == "1")
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(wal.EncodeSnapshot(st.SnapshotRev, payload))
+	_, _ = w.Write(wal.EncodeSnapshot(rev, payload))
 }
 
 // handleRestore recreates a plant from a backup body. The plant id
@@ -574,13 +567,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if !s.clusterGate(w, r, r.PathValue("id")) {
 		return
 	}
-	// A backup holds the whole plant, not one ingest batch — cap it
-	// well above MaxBodyBytes or Backup output could never round-trip.
-	restoreCap := s.opts.MaxBodyBytes
-	if restoreCap < maxRestoreBytes {
-		restoreCap = maxRestoreBytes
-	}
-	buf, err := io.ReadAll(http.MaxBytesReader(w, r.Body, restoreCap))
+	buf, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.restoreCap()))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, wire.CodeBadRequest, "reading backup: "+err.Error())
 		return
@@ -590,7 +577,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
 		return
 	}
-	st, err := decodeState(payload)
+	ps, _, err := decodeState(payload)
 	if err != nil {
 		// Oversized and non-finite job vectors keep the code the ingest
 		// path rejects them with; everything else a backup can get wrong
@@ -603,12 +590,12 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	if st.Topo.ID != id {
+	if ps.topo.ID != id {
 		writeErr(w, http.StatusBadRequest, wire.CodeBadRequest,
-			fmt.Sprintf("backup holds plant %q, not %q", st.Topo.ID, id))
+			fmt.Sprintf("backup holds plant %q, not %q", ps.topo.ID, id))
 		return
 	}
-	switch err := s.installState(st, rev); {
+	switch err := s.installState(ps, rev); {
 	case errors.Is(err, errShuttingDown):
 		writeErr(w, http.StatusServiceUnavailable, wire.CodeShuttingDown, err.Error())
 	case errors.Is(err, errPlantExists):
@@ -617,7 +604,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, wire.CodeInternal, err.Error())
 	default:
 		writeJSON(w, http.StatusCreated, wire.RestoreAck{
-			ID: id, Machines: len(st.Machines), Records: st.Received, SnapshotRev: rev,
+			ID: id, Machines: len(ps.mstores), Records: ps.received.Load(), SnapshotRev: rev,
 		})
 	}
 }
