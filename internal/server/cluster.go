@@ -335,18 +335,10 @@ func (s *Server) seedStandby(plantID string) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("cluster: seeding plant %q from %s: status %d", plantID, owner.ID, resp.StatusCode)
 	}
-	buf, err := io.ReadAll(http.MaxBytesReader(nil, resp.Body, s.restoreCap()))
+	// The owner's per-shard fold positions are where tailing starts.
+	rev, ps, positions, err := readBackup(nil, resp.Body, s.restoreCap())
 	if err != nil {
 		return fmt.Errorf("cluster: seeding plant %q from %s: %w", plantID, owner.ID, err)
-	}
-	rev, payload, err := wal.DecodeSnapshot(buf)
-	if err != nil {
-		return err
-	}
-	// The owner's per-shard fold positions are where tailing starts.
-	ps, positions, err := decodeState(payload)
-	if err != nil {
-		return err
 	}
 	if ps.topo.ID != plantID {
 		return fmt.Errorf("cluster: owner %s sent plant %q, wanted %q", owner.ID, ps.topo.ID, plantID)

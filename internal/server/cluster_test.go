@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/wal"
 )
 
 // TestClusterControlSurfaceGuard pins the contract the route table
@@ -128,11 +129,11 @@ func TestApplyFramesTornVersusCorrupt(t *testing.T) {
 	}
 }
 
-// TestSeedCapMatchesRestore: a standby seed reads the owner's backup
-// under the cap POST /restore applies — never below 1 GiB,
-// MaxBodyBytes when that is higher — and through the same reader, so a
-// body above the cap is refused as too large, not cut short into a CRC
-// mismatch.
+// TestSeedCapMatchesRestore: POST /restore and a standby seed read a
+// backup through one reader, readBackup, under one cap — never below
+// 1 GiB, MaxBodyBytes when that is higher. A backup that fits the cap
+// decodes; one byte over it is refused as too large, not cut short
+// into a CRC mismatch.
 func TestSeedCapMatchesRestore(t *testing.T) {
 	for _, c := range []struct{ maxBody, want int64 }{{0, 1 << 30}, {2 << 30, 2 << 30}} {
 		srv := New(Options{MaxBodyBytes: c.maxBody})
@@ -141,14 +142,16 @@ func TestSeedCapMatchesRestore(t *testing.T) {
 		}
 		srv.Close()
 	}
-	body := bytes.Repeat([]byte{0xB1}, 64)
-	read := func(limit int64) ([]byte, error) {
-		return io.ReadAll(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), limit))
+	payload, _ := livePlant(t).encodeState(true)
+	backup := wal.EncodeSnapshot(7, payload)
+	read := func(limit int64) (uint64, *plantState, error) {
+		rev, ps, _, err := readBackup(nil, io.NopCloser(bytes.NewReader(backup)), limit)
+		return rev, ps, err
 	}
-	if got, err := read(64); err != nil || !bytes.Equal(got, body) {
-		t.Fatalf("a body at the cap: %d bytes, %v", len(got), err)
+	if rev, ps, err := read(int64(len(backup))); err != nil || rev != 7 || ps.topo.ID != "plant-intern" {
+		t.Fatalf("a backup at the cap: rev %d, %v", rev, err)
 	}
-	if _, err := read(63); err == nil || !strings.Contains(err.Error(), "too large") {
-		t.Fatalf("a body one byte over the cap: %v, want it refused as too large", err)
+	if _, _, err := read(int64(len(backup)) - 1); err == nil || !strings.Contains(err.Error(), "too large") {
+		t.Fatalf("a backup one byte over the cap: %v, want it refused as too large", err)
 	}
 }

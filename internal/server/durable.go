@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"maps"
 	"math"
+	"net/http"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -330,7 +332,7 @@ func (d *snapDecoder) count(limit, size int, what string) int {
 
 // The least bytes a leaf, a tracker, a job before its phase flags and
 // an alert take.
-const minLeaf, minTracker, minJob, minAlert = 8 + 4*8, 3*8 + 1, 4 + 2 + 3*4, 8 + 3*4 + 3*8
+const minLeaf, minTracker, minJob, minAlert = 8 + 4*8, 3*8 + 1, 4 + 2 + 2*4, 8 + 3*4 + 3*8
 
 // decodeState reads a snapshot payload into a fresh plant (no shards
 // yet) and returns the WAL positions it holds. It is the validator: it
@@ -525,10 +527,28 @@ const (
 )
 
 // restoreCap caps a backup body, on POST /restore and a standby seed
-// alike (through http.MaxBytesReader, which refuses a longer body as
-// too large). A backup carries a whole plant, not one ingest batch: the
-// cap is never below 1 GiB, nor below MaxBodyBytes.
+// alike. A backup carries a whole plant, not one ingest batch: the cap
+// is never below 1 GiB, nor below MaxBodyBytes.
 func (s *Server) restoreCap() int64 { return max(s.opts.MaxBodyBytes, 1<<30) }
+
+// readBackup reads a backup body of at most limit bytes into a fresh
+// plant, its snapshot revision and the WAL positions it holds: the one
+// reader of POST /restore and a standby seed. A longer body is refused
+// as too large, not cut short.
+func readBackup(w http.ResponseWriter, body io.ReadCloser, limit int64) (rev uint64, ps *plantState, seqs []uint64, err error) {
+	buf, err := io.ReadAll(http.MaxBytesReader(w, body, limit))
+	if err != nil {
+		return 0, nil, nil, fmt.Errorf("reading backup: %w", err)
+	}
+	rev, payload, err := wal.DecodeSnapshot(buf)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	if ps, seqs, err = decodeState(payload); err != nil {
+		return 0, nil, nil, fmt.Errorf("decoding backup state: %w", err)
+	}
+	return rev, ps, seqs, nil
+}
 
 func walDirName(i int) string { return fmt.Sprintf("%s%03d", walDirPrefix, i) }
 
@@ -953,9 +973,11 @@ func (s *Server) loadPlant(dirName string) error {
 	if err != nil {
 		return err
 	}
-	ps := newPlantState(topo)
+	var ps *plantState
 	var shardSeqs []uint64
-	if payload != nil {
+	if payload == nil {
+		ps = newPlantState(topo)
+	} else {
 		if ps, shardSeqs, err = decodeState(payload); err != nil {
 			return err
 		}

@@ -567,17 +567,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if !s.clusterGate(w, r, r.PathValue("id")) {
 		return
 	}
-	buf, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.restoreCap()))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, wire.CodeBadRequest, "reading backup: "+err.Error())
-		return
-	}
-	rev, payload, err := wal.DecodeSnapshot(buf)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
-		return
-	}
-	ps, _, err := decodeState(payload)
+	rev, ps, _, err := readBackup(w, r.Body, s.restoreCap())
 	if err != nil {
 		// Oversized and non-finite job vectors keep the code the ingest
 		// path rejects them with; everything else a backup can get wrong
@@ -586,7 +576,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, errJobVector) {
 			code = wire.CodeVectorDims
 		}
-		writeErr(w, http.StatusBadRequest, code, "decoding backup state: "+err.Error())
+		writeErr(w, http.StatusBadRequest, code, err.Error())
 		return
 	}
 	id := r.PathValue("id")

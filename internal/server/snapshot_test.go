@@ -672,6 +672,57 @@ func TestJobsGateKeepsDataDirRecoverable(t *testing.T) {
 	}
 }
 
+// TestBareJobsSnapshotReopens: the least a job takes in a snapshot is
+// its id, two flags, two empty vectors and one absent-phase flag per
+// phase — what /jobs leaves for metadata without setup or CAQ before
+// any sample arrives. Ten such jobs on the last machine are followed
+// only by the environment columns and the alert ring, so the decoder's
+// per-job floor must not exceed that least, or it refuses what the
+// encoder wrote: the payload decodes and re-encodes byte for byte, and
+// the data dir reopens from the Close snapshot.
+func TestBareJobsSnapshotReopens(t *testing.T) {
+	dataDir := t.TempDir()
+	srv := New(durableOptions(dataDir))
+	if err := srv.Open(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	register(t, ts.URL, binaryTestTopo())
+	var metas []JobMeta
+	for i := range 10 {
+		metas = append(metas, JobMeta{Machine: "m1", Job: fmt.Sprintf("bare-%d", i)})
+	}
+	body, err := json.Marshal(metas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustStatus(t, postRetry(t, ts.URL+"/v1/plants/plant-intern/jobs", "application/json", body), http.StatusAccepted)
+	ps, _ := srv.plant("plant-intern")
+	payload, _ := ps.encodeState(false)
+	decoded, seqs, err := decodeState(payload)
+	if err != nil {
+		t.Fatalf("a snapshot of ten bare jobs refused: %v", err)
+	}
+	if round := reencode(decoded, seqs); !bytes.Equal(round, payload) {
+		t.Fatalf("decode → capture changed the bytes (%d vs %d)", len(round), len(payload))
+	}
+	ts.Close()
+	srv.Close()
+
+	re := New(durableOptions(dataDir))
+	if err := re.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	ps, ok := re.plant("plant-intern")
+	if !ok {
+		t.Fatal("plant not recovered")
+	}
+	if got := len(ps.mstores[1].jobsByID); got != len(metas) {
+		t.Fatalf("%d jobs on m1 after reopen, want %d", got, len(metas))
+	}
+}
+
 // TestRestoredPlantReopens: a restore writes the backup's topology twice
 // — as meta.json and inside the baseline snapshot — and Open refuses a
 // plant dir whose two copies disagree. A backup carries its topology as
