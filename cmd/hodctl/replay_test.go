@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -191,6 +194,57 @@ func TestReplayAgainstServer(t *testing.T) {
 	if err := cmdCube([]string{"-addr", base, "-plant", "replayed", "-where", "machine"}); err == nil {
 		t.Fatal("hodctl cube accepted a malformed -where constraint")
 	}
+
+	// -json prints the answer as it printed it when the client read the
+	// JSON body: that body through json.Unmarshal, indented.
+	resp, err := http.Get(base + "/v1/plants/replayed/cube?op=rollup&keep=line,sensor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	var cube wire.CubeResponse
+	err = json.NewDecoder(resp.Body).Decode(&cube)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(cube); err != nil {
+		t.Fatal(err)
+	}
+	got := captureStdout(t, func() error {
+		return cmdCube([]string{"-addr", base, "-plant", "replayed", "-op", "rollup", "-keep", "line,sensor", "-json"})
+	})
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("hodctl cube -json printed\n%s\nwant\n%s", got, want.Bytes())
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected into a pipe and
+// returns what it printed.
+func captureStdout(t *testing.T, fn func() error) []byte {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	old := os.Stdout
+	os.Stdout = w
+	err = fn()
+	os.Stdout = old
+	w.Close()
+	printed := <-out
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return printed
 }
 
 func TestDeriveTopology(t *testing.T) {

@@ -858,7 +858,19 @@ func (rt *Router) fetchBackup(n wire.ClusterNode, plant string) ([]byte, error) 
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("backup of %s from %s: status %d", plant, n.ID, resp.StatusCode)
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, 1<<30))
+	return readBackup(resp.Body, 1<<30)
+}
+
+// readBackup reads a whole backup body of at most limit bytes (a plant
+// move copies at most the least cap a node's POST /restore takes). A
+// longer one is refused as too large, not cut short into a body the
+// target would refuse as corrupt.
+func readBackup(body io.ReadCloser, limit int64) ([]byte, error) {
+	b, err := io.ReadAll(http.MaxBytesReader(nil, body, limit))
+	if err != nil {
+		return nil, fmt.Errorf("reading backup: %w", err)
+	}
+	return b, nil
 }
 
 func (rt *Router) setMoving(plant string, v bool) {

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"net/http"
+	"strings"
 	"sync"
 
 	"repro/internal/olap"
@@ -90,10 +91,13 @@ func (ms *machineStore) eachCell(visit func(*olap.IntCell)) {
 //
 // op defaults to slice. where repeats as dim=member pairs; keep is a
 // comma-separated dimension list. Cells come back in deterministic
-// coordinate order, so equal queries yield byte-identical bodies. A
-// malformed question is a 400; a group whose float sum overflows is
-// the server's limit, not the client's fault, and answers 500 internal.
+// coordinate order, so equal queries yield byte-identical bodies. The
+// body is wire.ContentTypeCube when the Accept header names it, else
+// JSON; errors are the JSON envelope either way. A malformed question
+// is a 400; a group whose float sum overflows is the server's limit,
+// not the client's fault, and answers 500 internal.
 func (s *Server) handleCube(w http.ResponseWriter, r *http.Request, ps *plantState) {
+	w.Header().Set("Vary", "Accept")
 	// The grammar is wire.CubeQueryParams — the same Encode/Decode pair
 	// the SDK builds requests with, so client and server cannot drift.
 	p, err := wire.DecodeCubeQueryParams(r.URL.Query())
@@ -110,13 +114,36 @@ func (s *Server) handleCube(w http.ResponseWriter, r *http.Request, ps *plantSta
 		writeErr(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
 		return
 	}
-	buf := cubeBufs.Get().(*[]byte)
-	defer cubeBufs.Put(buf)
-	*buf, err = wire.AppendCubeResponse((*buf)[:0], &wire.CubeResponse{
+	resp := wire.CubeResponse{
 		Plant: ps.topo.ID, Op: res.Op, Dims: res.Dims, Where: res.Where,
 		Members: res.Members, Cells: res.Cells, TotalCells: res.TotalCells,
-	})
-	writeEncoded(w, http.StatusOK, *buf, err)
+	}
+	buf := cubeBufs.Get().(*[]byte)
+	defer cubeBufs.Put(buf)
+	if acceptsCube(r.Header) {
+		*buf, err = wire.AppendCubeBinary((*buf)[:0], &resp)
+		writeEncoded(w, http.StatusOK, wire.ContentTypeCube, *buf, err)
+		return
+	}
+	*buf, err = wire.AppendCubeResponse((*buf)[:0], &resp)
+	*buf = append(*buf, '\n')
+	writeEncoded(w, http.StatusOK, "application/json", *buf, err)
+}
+
+// acceptsCube reports whether the Accept header names the binary cube
+// body among its media ranges.
+func acceptsCube(h http.Header) bool {
+	for _, v := range h.Values("Accept") {
+		for v != "" {
+			var mr string
+			mr, v, _ = strings.Cut(v, ",")
+			mr, _, _ = strings.Cut(mr, ";")
+			if strings.EqualFold(strings.TrimSpace(mr), wire.ContentTypeCube) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // cubeBufs recycles /cube body buffers: a machine slice is a few

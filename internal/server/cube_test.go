@@ -2,11 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -236,6 +239,103 @@ func TestCubeQueryValidation(t *testing.T) {
 	} {
 		if got := getBody(t, ts.URL+"/v1/plants/plant-cq/cube"+q); string(got) != want {
 			t.Fatalf("%s:\ngot  %swant %s", q, got, want)
+		}
+	}
+}
+
+// TestCubeNegotiation: /cube answers the binary body only to a request
+// whose Accept header names it, and to any other the JSON the offline
+// cube renders, byte for byte; both carry Vary: Accept. An error is the
+// JSON envelope whatever was asked for, and the SDK, which asks only
+// for the binary body, surfaces it as the *APIError it always did.
+func TestCubeNegotiation(t *testing.T) {
+	p, err := plant.Simulate(plant.Config{Seed: 3, Lines: 2, MachinesPerLine: 2, JobsPerMachine: 2, PhaseSamples: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const plantID = "plant-neg"
+	topo := topoWithDefaults(topoFromPlant(plantID, p))
+	srv := New(Options{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	register(t, ts.URL, topo)
+	register(t, ts.URL, topoWithDefaults(Topology{ID: "plant-of", Lines: []TopoLine{{ID: "l", Machines: []string{"l/m1", "l/m2"}}}}))
+	recs := machineRecords(p)
+	mustStatus(t, postRetry(t, ts.URL+"/v1/plants/"+plantID+"/ingest", "application/x-ndjson", ndjson(recs)), http.StatusAccepted)
+	overflow := []Record{
+		{Machine: "l/m1", Job: "j1", Phase: "print", Sensor: "temp-a", Value: 1e308},
+		{Machine: "l/m2", Job: "j1", Phase: "print", Sensor: "temp-a", Value: 1e308},
+	}
+	mustStatus(t, postRetry(t, ts.URL+"/v1/plants/plant-of/ingest", "application/x-ndjson", ndjson(overflow)), http.StatusAccepted)
+	waitDrained(t, ts.URL, plantID, uint64(len(recs)))
+	waitDrained(t, ts.URL, "plant-of", uint64(len(overflow)))
+	offline, err := hod.CubeFromRecords(topo, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	get := func(path, accept string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for _, q := range cubeQueries(p) {
+		path := "/v1/plants/" + plantID + q
+		want := offlineCubeResponse(t, offline, plantID, q)
+		for _, accept := range []string{"", "*/*", "application/json", "text/html, application/json;q=0.9"} {
+			resp := get(path, accept)
+			body := mustStatus(t, resp, http.StatusOK)
+			if ct, vary := resp.Header.Get("Content-Type"), resp.Header.Get("Vary"); ct != "application/json" || vary != "Accept" || !bytes.Equal(body, want) {
+				t.Fatalf("%s, Accept %q: %s (Vary %q)\n got %s\nwant %s", q, accept, ct, vary, body, want)
+			}
+		}
+		var wantVal wire.CubeResponse
+		if err := json.Unmarshal(want, &wantVal); err != nil {
+			t.Fatal(err)
+		}
+		for _, accept := range []string{wire.ContentTypeCube, "application/json;q=0.5, APPLICATION/X-HOD-CUBE;q=1"} {
+			resp := get(path, accept)
+			body := mustStatus(t, resp, http.StatusOK)
+			if ct, vary := resp.Header.Get("Content-Type"), resp.Header.Get("Vary"); ct != wire.ContentTypeCube || vary != "Accept" {
+				t.Fatalf("%s, Accept %q: Content-Type %q, Vary %q", q, accept, ct, vary)
+			}
+			if got, err := wire.DecodeCubeBinary(body); err != nil || !reflect.DeepEqual(got, wantVal) {
+				t.Fatalf("%s, Accept %q: binary body decodes to %+v (%v), want %+v", q, accept, got, err, wantVal)
+			}
+		}
+	}
+
+	client := hod.NewClient(ts.URL)
+	for _, c := range []struct {
+		plant  string
+		q      hod.CubeQuery
+		status int
+		code   string
+	}{
+		{plantID, hod.CubeQuery{Where: map[string]string{"galaxy": "g"}}, http.StatusBadRequest, wire.CodeBadRequest},
+		{"plant-of", hod.CubeQuery{Op: wire.CubeOpRollup, Keep: []string{"sensor"}}, http.StatusInternalServerError, wire.CodeInternal},
+	} {
+		resp := get("/v1/plants/"+c.plant+"/cube?"+c.q.Encode().Encode(), wire.ContentTypeCube)
+		body := mustStatus(t, resp, c.status)
+		var env wire.ErrorEnvelope
+		if err := json.Unmarshal(body, &env); err != nil || resp.Header.Get("Content-Type") != "application/json" || env.Err.Code != c.code {
+			t.Fatalf("%+v: %s %s", c.q, resp.Header.Get("Content-Type"), body)
+		}
+		_, err := client.Cube(context.Background(), c.plant, c.q)
+		var apiErr *hod.APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != c.status || apiErr.Code != c.code || apiErr.Message != env.Err.Message {
+			t.Fatalf("%+v: client error %v, want %d %s %q", c.q, err, c.status, c.code, env.Err.Message)
 		}
 	}
 }

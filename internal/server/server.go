@@ -605,24 +605,23 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 // an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	body, err := json.Marshal(v)
-	writeEncoded(w, code, body, err)
+	writeEncoded(w, code, "application/json", append(body, '\n'), err)
 }
 
-// writeEncoded writes a JSON body its handler encoded, and the
-// newline every body ends with; err is the encoder's, answered with
+// writeEncoded writes a body its handler encoded (a JSON body with the
+// newline every one ends with); err is the encoder's, answered with
 // the 500 envelope instead. The length is known up front, so the body
 // goes out with a Content-Length rather than chunked, and a client can
 // size its read buffer once.
-func writeEncoded(w http.ResponseWriter, code int, body []byte, err error) {
+func writeEncoded(w http.ResponseWriter, code int, contentType string, body []byte, err error) {
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, wire.CodeInternal, "encoding response: "+err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)+1))
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
 	_, _ = w.Write(body)
-	_, _ = w.Write([]byte{'\n'})
 }
 
 // writeErr emits the structured error envelope of the v1 protocol:

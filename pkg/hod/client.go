@@ -195,8 +195,11 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // do issues one request, retrying 429s — and 503s carrying the
 // cluster failover envelope — with the advertised backoff, and decodes
-// a 2xx body into out (when non-nil).
+// a 2xx body into out (when non-nil). A cube answer is asked for and
+// read as the binary body (wire.ContentTypeCube); every other body is
+// JSON.
 func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte, out any) error {
+	cube, isCube := out.(*wire.CubeResponse)
 	for attempt := 0; ; attempt++ {
 		var rd io.Reader
 		if body != nil {
@@ -208,6 +211,9 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 		}
 		if contentType != "" {
 			req.Header.Set("Content-Type", contentType)
+		}
+		if isCube {
+			req.Header.Set("Accept", wire.ContentTypeCube)
 		}
 		c.authorize(req.Header)
 		resp, err := c.hc.Do(req)
@@ -221,10 +227,14 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 		}
 		switch {
 		case resp.StatusCode >= 200 && resp.StatusCode < 300:
-			if out == nil {
-				return nil
+			switch {
+			case out == nil:
+			case isCube:
+				*cube, err = wire.DecodeCubeBinary(data)
+			default:
+				err = json.Unmarshal(data, out)
 			}
-			if err := decodeBody(data, out); err != nil {
+			if err != nil {
 				return fmt.Errorf("hod: bad response body: %w", err)
 			}
 			return nil
@@ -256,20 +266,6 @@ func readBody(resp *http.Response) ([]byte, error) {
 	buf := bytes.NewBuffer(make([]byte, 0, min(resp.ContentLength, maxPresize)+bytes.MinRead))
 	_, err := buf.ReadFrom(resp.Body)
 	return buf.Bytes(), err
-}
-
-// decodeBody decodes a 2xx body into out. The cube body, the largest
-// and most frequent read, has its own single-pass decoder.
-func decodeBody(data []byte, out any) error {
-	cube, ok := out.(*wire.CubeResponse)
-	if !ok {
-		return json.Unmarshal(data, out)
-	}
-	r, err := wire.DecodeCubeResponse(data)
-	if err == nil {
-		*cube = r
-	}
-	return err
 }
 
 // authorize attaches the configured API key, if any.

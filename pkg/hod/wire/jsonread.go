@@ -9,11 +9,11 @@ import (
 	"unicode/utf8"
 )
 
-// jsonReader is the hand-written JSON scanner under the two hot bodies
-// the v1 API decodes, the cube response (DecodeCubeResponse) and the
-// NDJSON ingest line (recordReader). It reads one document held in
-// memory, validating as it goes, with encoding/json's grammar, nesting
-// limit and string unescaping; what a value means is the caller's.
+// jsonReader is the hand-written JSON scanner under the hot body the
+// v1 API decodes, the NDJSON ingest line (recordReader). It reads one
+// document held in memory, validating as it goes, with encoding/json's
+// grammar, nesting limit and string unescaping; what a value means is
+// the caller's.
 type jsonReader struct {
 	data    []byte
 	i       int
