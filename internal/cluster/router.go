@@ -775,14 +775,20 @@ func (rt *Router) movePlant(plant, fromID string, to wire.ClusterNode, mem wire.
 	// must capture every 202'd batch.
 	rt.waitDrained(from, plant, 5*time.Second)
 
-	backup, err := rt.fetchBackup(from, plant)
+	// The backup streams from the old owner into the new one: the
+	// router holds no copy, and the new owner's restore cap is the one
+	// cap on its size. A source cut short fails the POST, since the
+	// body no longer fills its Content-Length.
+	backup, err := rt.openBackup(from, plant)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequest("POST", to.Addr+"/v1/plants/"+url.PathEscape(plant)+"/restore", bytes.NewReader(backup))
+	defer backup.Body.Close()
+	req, err := http.NewRequest("POST", to.Addr+"/v1/plants/"+url.PathEscape(plant)+"/restore", backup.Body)
 	if err != nil {
 		return err
 	}
+	req.ContentLength = backup.ContentLength
 	req.Header.Set(InternalHeader, "1")
 	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := rt.hc.Do(req)
@@ -844,7 +850,9 @@ func (rt *Router) waitDrained(n wire.ClusterNode, plant string, timeout time.Dur
 	}
 }
 
-func (rt *Router) fetchBackup(n wire.ClusterNode, plant string) ([]byte, error) {
+// openBackup starts the GET of a plant's backup from node n; the
+// caller reads and closes the body.
+func (rt *Router) openBackup(n wire.ClusterNode, plant string) (*http.Response, error) {
 	req, err := http.NewRequest("GET", n.Addr+"/v1/plants/"+url.PathEscape(plant)+"/backup", nil)
 	if err != nil {
 		return nil, err
@@ -854,23 +862,11 @@ func (rt *Router) fetchBackup(n wire.ClusterNode, plant string) ([]byte, error) 
 	if err != nil {
 		return nil, fmt.Errorf("backup of %s from %s: %w", plant, n.ID, err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
 		return nil, fmt.Errorf("backup of %s from %s: status %d", plant, n.ID, resp.StatusCode)
 	}
-	return readBackup(resp.Body, 1<<30)
-}
-
-// readBackup reads a whole backup body of at most limit bytes (a plant
-// move copies at most the least cap a node's POST /restore takes). A
-// longer one is refused as too large, not cut short into a body the
-// target would refuse as corrupt.
-func readBackup(body io.ReadCloser, limit int64) ([]byte, error) {
-	b, err := io.ReadAll(http.MaxBytesReader(nil, body, limit))
-	if err != nil {
-		return nil, fmt.Errorf("reading backup: %w", err)
-	}
-	return b, nil
+	return resp, nil
 }
 
 func (rt *Router) setMoving(plant string, v bool) {

@@ -123,6 +123,25 @@ func (h *Hub) Publish(ev wire.Event) {
 	}
 }
 
+// Wants reports whether Publish would deliver an event of this kind
+// for this plant to anyone, so a publisher can skip building an event
+// nobody reads. The answer may be stale as soon as it returns: a
+// subscriber that arrives after a no is the seeding path's to bring up
+// to date, as it is for every event published before it subscribed.
+func (h *Hub) Wants(kind wire.EventKind, plant string) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.exact[subKey{kind, plant}]) > 0 {
+		return true
+	}
+	for s := range h.wildcard[kind] {
+		if s.allowed == nil || s.allowed[plant] {
+			return true
+		}
+	}
+	return false
+}
+
 // unsubscribe removes the subscriber from every routing set.
 func (h *Hub) unsubscribe(s *Subscriber) {
 	h.mu.Lock()

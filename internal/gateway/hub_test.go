@@ -47,6 +47,35 @@ func TestHubRoutesByChannel(t *testing.T) {
 	}
 }
 
+// TestHubWants pins that Wants answers exactly what Publish would
+// deliver to: an exact channel, a wildcard within its tenant scope,
+// and nobody once the subscriber closes.
+func TestHubWants(t *testing.T) {
+	h := NewHub()
+	defer h.Close()
+	want := func(kind wire.EventKind, plant string, exp bool) {
+		t.Helper()
+		if got := h.Wants(kind, plant); got != exp {
+			t.Errorf("Wants(%s, %s) = %v, want %v", kind, plant, got, exp)
+		}
+	}
+	want(wire.EventStats, "p1", false)
+	exact := h.Subscribe([]wire.Channel{{Kind: wire.EventStats, Plant: "p1"}}, nil, 0)
+	want(wire.EventStats, "p1", true)
+	want(wire.EventStats, "p2", false)
+	want(wire.EventAlert, "p1", false)
+	scoped := h.Subscribe([]wire.Channel{{Kind: wire.EventAlert, Plant: "*"}}, map[string]bool{"p2": true}, 0)
+	want(wire.EventAlert, "p2", true)
+	want(wire.EventAlert, "p1", false)
+	exact.Close()
+	scoped.Close()
+	want(wire.EventStats, "p1", false)
+	want(wire.EventAlert, "p2", false)
+	all := h.Subscribe([]wire.Channel{{Kind: wire.EventCubeDelta, Plant: "*"}}, nil, 0)
+	defer all.Close()
+	want(wire.EventCubeDelta, "anything", true)
+}
+
 func TestHubWildcardRespectsTenantScope(t *testing.T) {
 	h := NewHub()
 	defer h.Close()

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"unicode/utf8"
 
+	"repro/internal/gateway"
 	"repro/internal/plant"
 	"repro/pkg/hod/wire"
 )
@@ -313,6 +314,16 @@ func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 		ps.foldRefs(refs)
 	}); n != 0 {
 		t.Fatalf("foldRefs allocates %v per run on an idempotent replay, want 0", n)
+	}
+	// Wired to a push hub, the fold builds no stats event for a plant
+	// nobody subscribes to — a subscriber of another plant's included.
+	ps.hub = gateway.NewHub()
+	defer ps.hub.Close()
+	ps.hub.Subscribe([]wire.Channel{{Kind: wire.EventStats, Plant: "elsewhere"}}, nil, 0)
+	if n := testing.AllocsPerRun(1000, func() {
+		ps.foldRefs(refs)
+	}); n != 0 {
+		t.Fatalf("foldRefs allocates %v per run on an idempotent replay with no subscriber, want 0", n)
 	}
 
 	fr := new(wire.Frame)

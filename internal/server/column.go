@@ -53,6 +53,20 @@ type blockRef struct {
 	blk, slot int32
 }
 
+// maxDirHint caps a dirHint, so one long series cannot make every new
+// column of its kind start with a large directory: 64 entries are
+// 1 024 samples and 512 bytes.
+const maxDirHint = 64
+
+// dirHint is the capacity a new column's first directory takes: the
+// most entries any column of its kind has held (a machine store keeps
+// one per phase, the environment store one), at least 1 and at most
+// maxDirHint. It counts entries, not block numbers, so a sample at a
+// far t raises it by one at most. Its owner's mutex guards it.
+type dirHint int32
+
+func (h *dirHint) note(entries int) { *h = max(*h, dirHint(min(entries, maxDirHint))) }
+
 // column is one sample series — of a (job, phase, sensor) or of an
 // environment sensor — set at index t with NaN holes, which is what
 // makes replayed batches idempotent: the retry story after a 429 needs
@@ -69,9 +83,9 @@ type column struct {
 // set writes one sample and reports whether the position previously
 // held NaN (a fresh observation rather than an idempotent overwrite)
 // and whether the stored value changed at all. s is the slab of the
-// store that owns the column.
-func (c *column) set(s *slab, t int, v float64) (fresh, changed bool) {
-	b := s.block(c.slot(s, int32(t/blockLen)))
+// store that owns the column, h the directory hint of its kind.
+func (c *column) set(s *slab, h *dirHint, t int, v float64) (fresh, changed bool) {
+	b := s.block(c.slot(s, h, int32(t/blockLen)))
 	p := &b[t%blockLen]
 	fresh = math.IsNaN(*p)
 	changed = fresh || *p != v
@@ -83,7 +97,8 @@ func (c *column) set(s *slab, t int, v float64) (fresh, changed bool) {
 }
 
 // slot returns the slab slot of block blk, carving it on first touch.
-func (c *column) slot(s *slab, blk int32) int32 {
+// A new directory is sized once, to the hint.
+func (c *column) slot(s *slab, h *dirHint, blk int32) int32 {
 	if last := len(c.dir) - 1; last >= 0 && c.dir[last].blk == blk {
 		return c.dir[last].slot
 	}
@@ -92,7 +107,11 @@ func (c *column) slot(s *slab, blk int32) int32 {
 		return c.dir[i].slot
 	}
 	slot := s.carve()
+	if c.dir == nil {
+		c.dir = make([]blockRef, 0, max(1, int(*h)))
+	}
 	c.dir = slices.Insert(c.dir, i, blockRef{blk, slot})
+	h.note(len(c.dir))
 	return slot
 }
 
@@ -125,10 +144,11 @@ func (c *column) appendTo(b []byte, s *slab) []byte {
 }
 
 // column reads what appendTo wrote into a fresh column, carving its
-// blocks from s and sizing its directory once. It refuses a length past
-// the t range and blocks no set below n could have made: numbers not
-// ascending, or a last block not holding sample n-1.
-func (d *snapDecoder) column(c *column, s *slab) {
+// blocks from s, sizing its directory once and noting it in h. It
+// refuses a length past the t range and blocks no set below n could
+// have made: numbers not ascending, or a last block not holding sample
+// n-1.
+func (d *snapDecoder) column(c *column, s *slab, h *dirHint) {
 	n := d.u32()
 	if n > maxSampleIndex {
 		d.fail("column of %d samples, the t range holds %d", n, maxSampleIndex)
@@ -147,6 +167,7 @@ func (d *snapDecoder) column(c *column, s *slab) {
 	if last := len(c.dir) - 1; n > 0 && (last < 0 || uint32(c.dir[last].blk) != (n-1)/blockLen) {
 		d.fail("column of %d samples does not end in the block of its last sample", n)
 	}
+	h.note(len(c.dir))
 }
 
 func fillNaN(dst []float64) {

@@ -71,6 +71,28 @@ func TestHostileFarSamplesBounded(t *testing.T) {
 	}
 }
 
+// TestDirHintBounded: a column that fills the whole t range raises its
+// kind's directory hint to maxDirHint, not to its 4 096 entries, and a
+// lone sample at a far t raises it by one entry.
+func TestDirHintBounded(t *testing.T) {
+	var s slab
+	var h dirHint
+	var far column
+	far.set(&s, &h, maxSampleIndex-1, 1)
+	if h != 1 {
+		t.Fatalf("one far sample left the hint at %d entries, want 1", h)
+	}
+	var long column
+	for at := 0; at < maxSampleIndex; at += blockLen {
+		long.set(&s, &h, at, 1)
+	}
+	var next column
+	next.set(&s, &h, 0, 1)
+	if h != maxDirHint || cap(next.dir) != maxDirHint {
+		t.Fatalf("after a %d-entry column the hint is %d and a new directory holds %d, want %d", len(long.dir), h, cap(next.dir), maxDirHint)
+	}
+}
+
 // flatSet is the column's reference: the padded slice the store kept
 // before columns were blocks, grown with append and set at index.
 func flatSet(buf []float64, t int, v float64) (out []float64, fresh, changed bool) {
@@ -230,40 +252,74 @@ func flatten(c *column, s *slab) []float64 {
 	return out
 }
 
-// BenchmarkFold is the fold hop alone: one bench-shaped machine (96
-// jobs × 4 phases × 4 sensors × 80 samples) folded into a fresh plant
-// in batches of 1 000, in the bench trace's order (job, phase, sensor,
-// t: one column at a time) and time-major (job, phase, t, sensor: the
-// sensors of a phase advance together). It reports ns/rec beside B/op
-// and allocs/op, which are per machine.
-func BenchmarkFold(b *testing.B) {
-	const jobs, samples, batch = 96, 80, 1000
-	topo := Topology{
+// foldShape is one bench-shaped machine: 96 jobs × 4 phases × 4
+// sensors × 80 samples, as refs in the bench trace's order (job, phase,
+// sensor, t: one column at a time) and time-major (job, phase, t,
+// sensor: the sensors of a phase advance together).
+const foldJobs, foldPhases, foldSensors, foldSamples = 96, 4, 4, 80
+
+func foldShape() (topo Topology, trace, timeMajor []recordRef) {
+	topo = Topology{
 		ID:         "bench-fold",
 		Lines:      []TopoLine{{ID: "l0", Machines: []string{"m0"}}},
 		Phases:     []string{"p0", "p1", "p2", "p3"},
 		Sensors:    []string{"s0", "s1", "s2", "s3"},
 		EnvSensors: []string{"hall"},
 	}
-	phases, sensors := len(topo.Phases), len(topo.Sensors)
 	ref := func(j, ph, s, t int) recordRef {
 		return recordRef{job: int32(j), phase: int32(ph), sensor: int32(s), t: int32(t), value: 20 + float64((j*7+ph*5+s*3+t)%11)}
 	}
-	var trace, timeMajor []recordRef
-	for j := 0; j < jobs; j++ {
-		for ph := 0; ph < phases; ph++ {
-			for s := 0; s < sensors; s++ {
-				for t := 0; t < samples; t++ {
+	for j := 0; j < foldJobs; j++ {
+		for ph := 0; ph < foldPhases; ph++ {
+			for s := 0; s < foldSensors; s++ {
+				for t := 0; t < foldSamples; t++ {
 					trace = append(trace, ref(j, ph, s, t))
 				}
 			}
-			for t := 0; t < samples; t++ {
-				for s := 0; s < sensors; s++ {
+			for t := 0; t < foldSamples; t++ {
+				for s := 0; s < foldSensors; s++ {
 					timeMajor = append(timeMajor, ref(j, ph, s, t))
 				}
 			}
 		}
 	}
+	return topo, trace, timeMajor
+}
+
+// foldMachine folds refs into a fresh plant of topo in batches of 1 000.
+func foldMachine(topo Topology, refs []recordRef) {
+	ps := newPlantState(topo)
+	ps.makeShards(1, 1)
+	ps.alertThreshold = math.Inf(1)
+	for rest := refs; len(rest) > 0; {
+		n := min(1000, len(rest))
+		ps.foldRefs(rest[:n])
+		rest = rest[n:]
+	}
+}
+
+// TestFoldAllocsBounded bounds the objects one bench-shaped machine's
+// fold allocates. Its 1 536 columns, 384 grids and 96 jobs cost one
+// directory per column (sized once, to its phase's hint), three objects
+// per grid and two per job: 2 880. One slab chunk per 128 blocks and
+// the plant's own setup add about 120. A directory grown one entry at a
+// time cost four objects per column instead, 7 602 in all.
+func TestFoldAllocsBounded(t *testing.T) {
+	const bound = 3200
+	topo, trace, timeMajor := foldShape()
+	for name, refs := range map[string][]recordRef{"trace": trace, "time-major": timeMajor} {
+		if n := testing.AllocsPerRun(3, func() { foldMachine(topo, refs) }); n > bound {
+			t.Errorf("%s: folding one bench-shaped machine allocated %v objects, want at most %d", name, n, bound)
+		}
+	}
+}
+
+// BenchmarkFold is the fold hop alone: one bench-shaped machine
+// (foldShape) folded into a fresh plant in batches of 1 000, in trace
+// and time-major order. It reports ns/rec beside B/op and allocs/op,
+// which are per machine.
+func BenchmarkFold(b *testing.B) {
+	topo, trace, timeMajor := foldShape()
 	for _, order := range []struct {
 		name string
 		refs []recordRef
@@ -271,14 +327,7 @@ func BenchmarkFold(b *testing.B) {
 		b.Run(order.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ps := newPlantState(topo)
-				ps.makeShards(1, 1)
-				ps.alertThreshold = math.Inf(1)
-				for rest := order.refs; len(rest) > 0; {
-					n := min(batch, len(rest))
-					ps.foldRefs(rest[:n])
-					rest = rest[n:]
-				}
+				foldMachine(topo, order.refs)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(order.refs)), "ns/rec")
 		})

@@ -402,7 +402,7 @@ func decodeState(p []byte) (ps *plantState, seqs []uint64, err error) {
 		d.machine(ms, len(names), &topo)
 	}
 	for i := range ps.env.cols {
-		d.column(&ps.env.cols[i], &ps.env.slab)
+		d.column(&ps.env.cols[i], &ps.env.slab, &ps.env.dirHint)
 	}
 	ps.alertSeq = d.u64()
 	ps.alerts = make([]Alert, d.count(alertRingCap, minAlert, "alerts"))
@@ -453,7 +453,7 @@ func (d *snapDecoder) job(ms *machineStore, id int32, topo *Topology) {
 		// constant factor of a machine's leaves, which the input held.
 		g := ms.grid(js, ph)
 		for s := range g.cols {
-			d.column(&g.cols[s], &ms.slab)
+			d.column(&g.cols[s], &ms.slab, &ms.dirHints[ph])
 			if count := d.u64(); count > 0 {
 				c := olap.IntCell{Coord: olap.IntCoord{ms.line, ms.id, id, ph, int32(s)}, Count: int(count), Sum: d.f64(), Min: d.f64(), Max: d.f64()}
 				if count > math.MaxInt64 || g.cols[s].n == 0 || !finite(c.Sum, c.Min, c.Max) {
@@ -812,7 +812,7 @@ func (ps *plantState) applyJobMetas(metas []JobMeta) {
 		}
 	}
 	if changed {
-		ps.dataRev.Add(1)
+		ps.bumpRev()
 	}
 }
 
@@ -917,7 +917,7 @@ func (s *Server) installState(ps *plantState, rev uint64) error {
 	id := ps.topo.ID
 	ps.makeShards(s.opts.Shards, s.opts.QueueDepth)
 	ps.alertThreshold = s.opts.AlertThreshold
-	ps.publish = s.hub.Publish
+	ps.hub = s.hub
 	// Encoded before the registry lock so the pass over the stores
 	// doesn't stall unrelated requests.
 	var baseline []byte
@@ -999,7 +999,7 @@ func (s *Server) loadPlant(dirName string) error {
 	// Attach the push hook only after recovery: WAL replay rebuilds
 	// state through the same fold path, and replaying history must not
 	// re-emit it to live subscribers.
-	ps.publish = s.hub.Publish
+	ps.hub = s.hub
 	ps.spawn()
 	ps.startSnapshotLoop(s.opts.SnapshotInterval)
 	s.mu.Lock()

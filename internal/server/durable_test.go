@@ -256,7 +256,15 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 	register(t, tsS.URL, topoFromPlant("plant-bk", p))
 	ingestPlant(t, tsS.URL, "plant-bk", p)
 
-	backup := getBody(t, tsS.URL+"/v1/plants/plant-bk/backup")
+	resp, err := http.Get(tsS.URL + "/v1/plants/plant-bk/backup")
+	if err != nil {
+		t.Fatal(err)
+	}
+	backup := mustStatus(t, resp, http.StatusOK)
+	// A plant move streams the body into the new owner with this length.
+	if resp.ContentLength != int64(len(backup)) {
+		t.Fatalf("backup of %d bytes sent Content-Length %d", len(backup), resp.ContentLength)
+	}
 
 	dst := New(durableOptions(t.TempDir()))
 	if err := dst.Open(); err != nil {
@@ -266,7 +274,7 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 	tsD := httptest.NewServer(dst.Handler())
 	defer tsD.Close()
 
-	resp, err := http.Post(tsD.URL+"/v1/plants/plant-bk/restore", "application/octet-stream", bytes.NewReader(backup))
+	resp, err = http.Post(tsD.URL+"/v1/plants/plant-bk/restore", "application/octet-stream", bytes.NewReader(backup))
 	if err != nil {
 		t.Fatal(err)
 	}

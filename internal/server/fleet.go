@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gateway"
 	"repro/internal/olap"
 	"repro/internal/plant"
 	"repro/internal/stats"
@@ -89,12 +90,12 @@ type plantState struct {
 	alertHead int
 	alertSeq  uint64 // plant-wide alert sequence, assigned under alertMu
 
-	// publish, when non-nil, fans fold-path events out to the live
-	// push gateway. It is called at batch boundaries only (end of
-	// foldBatch) so event order follows the deterministic fold order,
-	// and it must never block — the hub's bounded coalescing queues
-	// guarantee that.
-	publish func(wire.Event)
+	// hub, when non-nil, fans fold-path events out to the live push
+	// gateway. It is published to at batch boundaries only (end of
+	// foldRefs) so event order follows the deterministic fold order,
+	// and publishing never blocks — the hub's bounded coalescing
+	// queues guarantee that.
+	hub *gateway.Hub
 
 	accepted atomic.Uint64 // fresh records folded in
 	received atomic.Uint64 // valid records folded, incl. idempotent replays
@@ -107,19 +108,24 @@ type plantState struct {
 	// without a data dir): per-shard WALs plus snapshot state.
 	dur *plantDur
 
-	// reportMu guards view, the read side at the newest data revision
-	// a report asked for.
+	// view is the read side at the current data revision, nil when no
+	// report has asked for it since the revision last moved: bumpRev
+	// drops it, so a streaming plant rests at its store. reportMu
+	// serializes builds and guards the view's hier and reports memos;
+	// the fold path never takes it.
 	reportMu sync.Mutex
-	view     *reportView
+	view     atomic.Pointer[reportView]
 }
 
 // reportView is everything a report reads at one data revision: the
 // plant assembled from the stores, the PlantCache its hierarchies
 // share, the hierarchies built so far and the per-(machine, level)
-// reports computed so far. snapshot builds it whole when the revision
-// moves and drops it whole at the next one. Nothing in it is carried
-// across revisions: a report runs Algorithm 1's upward pass through
-// plant-wide levels, so any change to the data can change any report.
+// reports computed so far. snapshot builds it whole at a revision
+// that has none, and the bump that moves the revision drops it whole
+// (bumpRev): a view lives on after that only while a request still
+// holds it. Nothing in it is carried across revisions: a report runs
+// Algorithm 1's upward pass through plant-wide levels, so any change
+// to the data can change any report.
 type reportView struct {
 	rev     uint64
 	plant   *plant.Plant
@@ -327,7 +333,7 @@ func (ps *plantState) foldRefs(refs []recordRef) {
 	// report issued right after the drain could hit the snapshot
 	// fast path at the old revision and miss the final batch.
 	if wrote {
-		ps.dataRev.Add(1)
+		ps.bumpRev()
 	}
 	ps.accepted.Add(freshRecs)
 	ps.received.Add(uint64(len(refs)))
@@ -338,25 +344,28 @@ func (ps *plantState) foldRefs(refs []recordRef) {
 // hub: one alert event carrying the batch's newly raised alerts, a
 // cube_delta notification when the data revision advanced, and a stats
 // snapshot after every batch (counters move even on idempotent
-// replay). Runs at the foldMu batch boundary, so per-shard event order
-// equals fold order; with no gateway attached it is a no-op.
+// replay) — built only when someone subscribes to it, since it reads
+// every shard. Runs at the foldMu batch boundary, so per-shard event
+// order equals fold order; with no gateway attached it is a no-op.
 func (ps *plantState) publishBatchEvents(wrote bool, newAlerts []Alert) {
-	pub := ps.publish
-	if pub == nil {
+	hub := ps.hub
+	if hub == nil {
 		return
 	}
 	if len(newAlerts) > 0 {
-		pub(wire.Event{
+		hub.Publish(wire.Event{
 			Kind: wire.EventAlert, Plant: ps.topo.ID,
 			Seq: newAlerts[len(newAlerts)-1].Seq, Alerts: newAlerts,
 		})
 	}
 	rev := ps.dataRev.Load()
 	if wrote {
-		pub(wire.Event{Kind: wire.EventCubeDelta, Plant: ps.topo.ID, Revision: rev})
+		hub.Publish(wire.Event{Kind: wire.EventCubeDelta, Plant: ps.topo.ID, Revision: rev})
 	}
-	st := ps.statsNow()
-	pub(wire.Event{Kind: wire.EventStats, Plant: ps.topo.ID, Revision: rev, Stats: &st})
+	if hub.Wants(wire.EventStats, ps.topo.ID) {
+		st := ps.statsNow()
+		hub.Publish(wire.Event{Kind: wire.EventStats, Plant: ps.topo.ID, Revision: rev, Stats: &st})
+	}
 }
 
 // statsNow assembles the stats snapshot served by GET stats and
@@ -413,15 +422,33 @@ func (ps *plantState) recentAlerts(limit int) []Alert {
 	return out
 }
 
+// bumpRev advances the data revision and releases the report view it
+// makes stale — the one place the revision moves once a plant serves.
+// It costs one atomic load per written batch, and a batch that writes
+// nothing keeps the view.
+func (ps *plantState) bumpRev() {
+	ps.dataRev.Add(1)
+	if ps.view.Load() != nil {
+		ps.view.Store(nil)
+	}
+}
+
 // snapshot returns the report view of the current data revision,
-// assembling the plant from the stores when the revision has moved
-// since the last build. The revision is read before the stores are: a
-// fold that lands during the build advances it past the view's, so the
-// next report builds again. Callers must hold reportMu.
+// assembling the plant from the stores when none is cached. The
+// revision is read before the stores are, so a view never claims data
+// it may lack. Callers must hold reportMu.
+//
+// The new view is published, then the revision re-checked. Go's
+// atomics are sequentially consistent, so a bump whose Add follows the
+// read of cur falls in one of two cases. Its Add precedes the re-check:
+// the re-check sees the new revision and swaps v back out. Or its Add
+// follows the re-check, and so its Load follows Store(v): it sees v
+// and stores nil. Either way no stale view stays cached once the plant
+// is quiescent. The caller still gets v, which answers as of cur.
 func (ps *plantState) snapshot() (*reportView, error) {
 	cur := ps.dataRev.Load()
-	if ps.view != nil && ps.view.rev == cur {
-		return ps.view, nil
+	if v := ps.view.Load(); v != nil && v.rev == cur {
+		return v, nil
 	}
 	var lines []*plant.Line
 	for _, tl := range ps.topo.Lines {
@@ -445,11 +472,15 @@ func (ps *plantState) snapshot() (*reportView, error) {
 		return nil, err
 	}
 	p := &plant.Plant{Lines: lines, Environment: env, Start: assemblyStart, Step: time.Second}
-	ps.view = &reportView{
+	v := &reportView{
 		rev: cur, plant: p, cache: core.NewPlantCache(p),
 		hier: make(map[string]*core.Hierarchy), reports: make(map[reportKey]*core.Report),
 	}
-	return ps.view, nil
+	ps.view.Store(v)
+	if ps.dataRev.Load() != cur {
+		ps.view.CompareAndSwap(v, nil)
+	}
+	return v, nil
 }
 
 // hierarchyFor returns (building if needed) the hierarchy of one

@@ -289,7 +289,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	ps := newPlantState(topo)
 	ps.makeShards(s.opts.Shards, s.opts.QueueDepth)
 	ps.alertThreshold = s.opts.AlertThreshold
-	ps.publish = s.hub.Publish
+	ps.hub = s.hub
 	if s.opts.DataDir != "" {
 		//hod:allow(lockorder) registration atomicity: the duplicate-ID check and plant-dir creation must be one critical section or two concurrent registers of the same ID could both succeed
 		if _, err := s.persistNewPlant(ps, topo); err != nil {
@@ -552,9 +552,13 @@ func (s *Server) handleBackup(w http.ResponseWriter, r *http.Request, ps *plantS
 	// wants them — a standby seeding itself before tailing this node's
 	// WAL — asks with ?positions=1 on the internal cluster path.
 	payload, _ := ps.encodeState(r.URL.Query().Get("positions") == "1" && r.Header.Get(cluster.InternalHeader) == "1")
+	body := wal.EncodeSnapshot(rev, payload)
+	// The length lets a plant move stream this body straight into the
+	// new owner's /restore.
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(wal.EncodeSnapshot(rev, payload))
+	_, _ = w.Write(body)
 }
 
 // handleRestore recreates a plant from a backup body. The plant id

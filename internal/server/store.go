@@ -92,6 +92,7 @@ type machineStore struct {
 	trackers          []stats.EWMATracker // sensor id → alert tracker
 	nCells            int                 // cube cells with Count > 0
 	slab              slab                // the blocks of every job's columns
+	dirHints          []dirHint           // phase id → directory hint of its columns
 }
 
 func newMachineStore(line, id int32, nPhases, nSensors int) *machineStore {
@@ -100,6 +101,7 @@ func newMachineStore(line, id int32, nPhases, nSensors int) *machineStore {
 		jobsByID: make(map[int32]*jobStore),
 		leaves:   make([]stats.Online, nPhases*nSensors),
 		trackers: make([]stats.EWMATracker, nSensors),
+		dirHints: make([]dirHint, nPhases),
 	}
 	for i := range ms.trackers {
 		ms.trackers[i] = *stats.NewEWMATracker(trackerAlpha)
@@ -133,7 +135,7 @@ func (ms *machineStore) grid(j *jobStore, phase int32) *cellGrid {
 // grid it landed in. Callers must hold mu.
 func (ms *machineStore) set(ref recordRef) (g *cellGrid, fresh, changed bool) {
 	g = ms.grid(ms.job(ref.job), ref.phase)
-	fresh, changed = g.cols[ref.sensor].set(&ms.slab, int(ref.t), ref.value)
+	fresh, changed = g.cols[ref.sensor].set(&ms.slab, &ms.dirHints[ref.phase], int(ref.t), ref.value)
 	return g, fresh, changed
 }
 
@@ -158,9 +160,10 @@ func (ms *machineStore) setMeta(id int32, m JobMeta) (changed bool) {
 // envStore holds the shared shop-floor climate series, indexed by
 // interned environment-sensor id.
 type envStore struct {
-	mu   sync.Mutex
-	cols []column // env sensor id → samples
-	slab slab
+	mu      sync.Mutex
+	cols    []column // env sensor id → samples
+	slab    slab
+	dirHint dirHint
 }
 
 func newEnvStore(nSensors int) *envStore {
@@ -170,7 +173,7 @@ func newEnvStore(nSensors int) *envStore {
 func (es *envStore) set(sensor int32, t int, v float64) (fresh, changed bool) {
 	es.mu.Lock()
 	defer es.mu.Unlock()
-	return es.cols[sensor].set(&es.slab, t, v)
+	return es.cols[sensor].set(&es.slab, &es.dirHint, t, v)
 }
 
 // assemblyStart anchors the assembled time axes. Detection never reads
